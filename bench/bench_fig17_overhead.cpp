@@ -18,7 +18,6 @@
 
 #include "common.hpp"
 #include "core/compress.hpp"
-#include "core/distilled.hpp"
 #include "prefetch/isb.hpp"
 #include "prefetch/stms.hpp"
 
@@ -143,24 +142,13 @@ main(int argc, char **argv)
         ctx.stats().counter(p + ".stms_table_bytes") =
             stms_pf.table_bytes();
 
-        // Distilled correlation table (§5.5 toy): compile the run's
-        // own predictions and account its per-entry storage model
-        // next to the temporal-metadata tables. FlatHashMap-backed
-        // and tie-broken by key, so the footprint is independent of
-        // map iteration order (golden-pinned).
-        const auto distilled = core::DistilledPrefetcher::distill(
-            stream, res.predictions, {});
-        ctx.stats().counter(p + ".distilled_table_bytes") =
-            distilled.storage_bytes();
         std::cout << "  metadata tables: isb "
                   << human_bytes(isb_pf.storage_bytes()) << " model / "
                   << human_bytes(isb_pf.table_bytes())
                   << " flat, stms "
                   << human_bytes(stms_pf.storage_bytes())
                   << " model / " << human_bytes(stms_pf.table_bytes())
-                  << " flat, distilled "
-                  << human_bytes(distilled.storage_bytes()) << " ("
-                  << distilled.table_entries() << " entries)\n";
+                  << " flat\n";
 
         // Int8 engine stats (§5.13): quantization quality is
         // deterministic; the us/sample timings are wall-clock and so

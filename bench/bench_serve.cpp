@@ -48,6 +48,7 @@
 
 #include "common.hpp"
 #include "core/tabular.hpp"
+#include "nn/ops.hpp"
 #include "serve/client.hpp"
 #include "serve/heuristic.hpp"
 #include "serve/predictor.hpp"
@@ -217,6 +218,9 @@ main(int argc, char **argv)
               << table.l2_entries() << " L2 entries, "
               << human_bytes(table.storage_bytes()) << " of "
               << human_bytes(table.budget_bytes()) << " budget\n";
+    // The nn.* op counters export at exit; clear what training and
+    // distillation charged so they cover serving only.
+    nn::op_stats().reset();
 
     const auto slices =
         tenant_slices(stream, adapter.min_index(), tenants, requests);

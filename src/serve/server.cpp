@@ -1,10 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/fault_injection.hpp"
 
@@ -18,15 +19,44 @@ constexpr std::size_t kBatchHistBuckets = 65;
 constexpr double kTickHistHi = 256.0;
 constexpr std::size_t kTickHistBuckets = 64;
 
-/** First rung carrying a predictor (the batcher's seq_len source). */
-TokenPredictor &
-first_predictor(const std::vector<EngineRung> &rungs)
+/** Reject an invalid server configuration. */
+[[noreturn]] void
+fail(const std::string &why)
 {
-    for (const EngineRung &r : rungs)
-        if (r.predictor)
-            return *r.predictor;
-    assert(!"ladder has no predictor rung");
-    return *rungs.front().predictor;
+    throw std::invalid_argument("PrefetchServer: " + why);
+}
+
+/**
+ * Check a ladder and config, returning the batcher's seq_len. Throws
+ * std::invalid_argument unless max_batch > 0, the ladder is
+ * non-empty, every rung carries exactly one of predictor or
+ * heuristic, at least one rung carries a predictor and all predictor
+ * rungs share one seq_len. A zero max_batch would make the dispatch
+ * loop spin forever, so this runs in every build type.
+ */
+std::size_t
+checked_seq_len(const std::vector<EngineRung> &rungs,
+                const ServeConfig &cfg)
+{
+    if (cfg.max_batch == 0)
+        fail("max_batch must be > 0");
+    if (rungs.empty())
+        fail("the engine ladder is empty");
+    const TokenPredictor *first = nullptr;
+    for (const EngineRung &r : rungs) {
+        if ((r.predictor != nullptr) == (r.heuristic != nullptr))
+            fail("rung '" + r.name +
+                 "' needs exactly one of predictor or heuristic");
+        if (r.predictor && !first)
+            first = r.predictor;
+        else if (r.predictor && r.predictor->seq_len() != first->seq_len())
+            fail("rung '" + r.name + "' has seq_len " +
+                 std::to_string(r.predictor->seq_len()) + ", not " +
+                 std::to_string(first->seq_len()));
+    }
+    if (!first)
+        fail("the engine ladder has no predictor rung");
+    return first->seq_len();
 }
 
 /** Is the request past its deadline at virtual time `now`? */
@@ -50,7 +80,7 @@ PrefetchServer::PrefetchServer(TokenPredictor &predictor,
 PrefetchServer::PrefetchServer(std::vector<EngineRung> rungs,
                                const ServeConfig &cfg)
     : rungs_(std::move(rungs)), cfg_(cfg),
-      batcher_(first_predictor(rungs_).seq_len()),
+      batcher_(checked_seq_len(rungs_, cfg_)),
       queue_(cfg.queue_cap), monitor_(cfg.degrade),
       rung_responses_(rungs_.size(), 0),
       rung_deadline_miss_(rungs_.size(), 0),
@@ -59,15 +89,6 @@ PrefetchServer::PrefetchServer(std::vector<EngineRung> rungs,
       wait_ticks_hist_(0.0, kTickHistHi, kTickHistBuckets),
       deadline_slack_hist_(0.0, kTickHistHi, kTickHistBuckets)
 {
-    assert(cfg_.max_batch > 0);
-    assert(!rungs_.empty());
-#ifndef NDEBUG
-    for (const EngineRung &r : rungs_) {
-        assert((r.predictor != nullptr) != (r.heuristic != nullptr));
-        if (r.predictor)
-            assert(r.predictor->seq_len() == batcher_.seq_len());
-    }
-#endif
     if (rungs_[rung_].on_activate)
         rungs_[rung_].on_activate();
 }

@@ -87,7 +87,8 @@ class PrefetchServer
 {
   public:
     /** Single-engine server (no ladder below it). Borrows the
-     *  predictor; keep it alive while serving. */
+     *  predictor; keep it alive while serving. Throws
+     *  std::invalid_argument if `cfg.max_batch` is 0. */
     PrefetchServer(TokenPredictor &predictor,
                    const ServeConfig &cfg = {});
 
@@ -97,6 +98,9 @@ class PrefetchServer
      * HeuristicEngine. At least one rung must carry a predictor, and
      * every predictor rung must share rung 0's seq_len. Rung 0's
      * on_activate hook runs here. All rung targets are borrowed.
+     * Throws std::invalid_argument if `cfg.max_batch` is 0, the
+     * ladder is empty or has no predictor rung, a rung carries both
+     * or neither of predictor and heuristic, or seq_lens differ.
      */
     PrefetchServer(std::vector<EngineRung> rungs,
                    const ServeConfig &cfg = {});

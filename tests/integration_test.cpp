@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/compress.hpp"
-#include "core/distilled.hpp"
 #include "core/metrics.hpp"
 #include "core/trainer.hpp"
 #include "prefetch/registry.hpp"
@@ -184,44 +183,6 @@ TEST(Integration, CompressionPreservesPredictions)
     EXPECT_GT(static_cast<double>(same) /
                   static_cast<double>(considered),
               0.6);
-}
-
-TEST(Integration, DistilledPrefetcherTracksNeuralSource)
-{
-    // Train Voyager, distill its predictions into the table
-    // prefetcher, and verify the table reproduces the neural
-    // predictions on the same stream (paper §5.5's practical route).
-    const auto t = trace::gen::make_workload("pr", Scale::Tiny, 6);
-    const auto cfg = sim::tiny_sim_config();
-    const auto stream = extract_llc_stream(t, cfg);
-    core::VoyagerAdapter voyager(small_voyager(), stream);
-    core::OnlineTrainConfig ocfg;
-    ocfg.epochs = 3;
-    ocfg.train_passes = 4;
-    ocfg.cumulative = true;
-    ocfg.max_train_samples_per_epoch = 1500;
-    const auto res = train_online(voyager, stream.size(), ocfg);
-
-    auto distilled =
-        core::DistilledPrefetcher::distill(stream, res.predictions, {});
-    EXPECT_GT(distilled.table_entries(), 10u);
-
-    // Replay both through the metric machinery: the distilled table
-    // should recover a meaningful share of the neural predictions.
-    const auto table_preds =
-        core::run_prefetcher_on_stream(distilled, stream);
-    const auto neural = unified_accuracy_coverage(
-        stream, res.predictions, res.first_predicted_index);
-    const auto table = unified_accuracy_coverage(
-        stream, table_preds, res.first_predicted_index);
-    if (neural.value() > 0.05)
-        EXPECT_GT(table.value(), neural.value() * 0.3);
-
-    // And it is simulator-compatible.
-    auto fresh =
-        core::DistilledPrefetcher::distill(stream, res.predictions, {});
-    const auto r = simulate(t, cfg, fresh);
-    EXPECT_EQ(r.prefetcher_name, "voyager_distilled");
 }
 
 TEST(Integration, StorageComparisonVoyagerVsTemporal)

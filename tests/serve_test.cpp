@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -418,6 +419,44 @@ TEST(PrefetchServerTest, DropExpiredPolicyEvictsDeadRequests)
     EXPECT_EQ(reg.counter("serve.queue.dropped_expired"), 2u);
     EXPECT_EQ(reg.counter("serve.deadline.miss"), 2u);
     EXPECT_EQ(reg.counter("serve.queue.shed"), 0u);
+}
+
+TEST(PrefetchServerTest, RejectsInvalidConfigInEveryBuildType)
+{
+    // Checked at construction, not by assert: under NDEBUG a zero
+    // max_batch would otherwise spin the dispatch loop forever.
+    StubPredictor p4(4);
+    StubPredictor p2(2);
+    serve::HeuristicEngine heuristic;
+    struct Case
+    {
+        const char *what;
+        std::vector<serve::EngineRung> rungs;
+        std::size_t max_batch;
+    };
+    const std::vector<Case> cases = {
+        {"zero max_batch", {{"a", &p4, nullptr, {}}}, 0},
+        {"empty ladder", {}, 8},
+        {"rung with neither engine",
+         {{"a", &p4, nullptr, {}}, {"b", nullptr, nullptr, {}}},
+         8},
+        {"rung with both engines", {{"a", &p4, &heuristic, {}}}, 8},
+        {"no predictor rung", {{"h", nullptr, &heuristic, {}}}, 8},
+        {"seq_len mismatch",
+         {{"a", &p4, nullptr, {}}, {"b", &p2, nullptr, {}}},
+         8},
+    };
+    for (const Case &c : cases) {
+        ServeConfig sc;
+        sc.max_batch = c.max_batch;
+        EXPECT_THROW({ PrefetchServer server(c.rungs, sc); },
+                     std::invalid_argument)
+            << c.what;
+    }
+    ServeConfig zero;
+    zero.max_batch = 0;
+    EXPECT_THROW({ PrefetchServer server(p4, zero); },
+                 std::invalid_argument);
 }
 
 TEST(PrefetchServerTest, AllExpiredExactBatchSkipsThePredictor)

@@ -1,157 +1,89 @@
 #!/bin/sh
-# CI gate: build + run the tier-1 suite under the release preset, then
-# again under the asan-ubsan preset (Debug + ASan + UBSan), and
-# finally validate a bench binary's --stats_json document against the
-# schema checker. Run from the repository root. Fails on first error.
+# CI gate, run from the repository root; stops at the first failure.
+# For each build flavour -- release, then asan-ubsan (Debug + ASan +
+# UBSan) -- configure, build, run the tier-1 ctest suite once and drive
+# the bench binaries end to end at tiny sizes. Then run the repository
+# benchmark's smoke test. The label families (checkpoint, fault,
+# serve, chaos, transformer, distill) are all inside tier1; select one
+# with `ctest --test-dir build -L <family>`.
 set -eu
 
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d /tmp/voyager_gate.XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
 
-echo "== release: configure + build =="
-cmake --preset release
-cmake --build --preset release -j1
+# smoke <bench> "<stat keys>" <args...>: run a bench binary of the
+# current build, check its --stats_json document against the schema
+# and require each listed stat in it. Tiny sizes prove the path runs;
+# the performance claims live in the full bench runs.
+smoke() {
+    bench=$1
+    keys=$2
+    shift 2
+    echo "== $build: $bench smoke $* =="
+    "./$build/bench/$bench" "$@" --stats_json="$tmp/doc.json" >/dev/null
+    python3 tools/check_stats_schema.py "$tmp/doc.json"
+    for key in $keys; do
+        grep -q "\"$key\"" "$tmp/doc.json"
+    done
+}
 
-echo "== release: ctest -L tier1 =="
-ctest --preset tier1 --output-on-failure
+for preset in release asan-ubsan; do
+    case $preset in
+    release) build=build tests=tier1 ;;
+    *) build=build-asan tests=asan-tier1 ;;
+    esac
+    echo "== $preset: configure + build =="
+    cmake --preset "$preset"
+    cmake --build --preset "$preset" -j1
+    echo "== $preset: ctest -L tier1 =="
+    ctest --preset "$tests" --output-on-failure
 
-echo "== release: ctest -L checkpoint =="
-ctest --preset checkpoint --output-on-failure
+    # Int8 qgemm microkernel (DESIGN.md section 5.13) outside gtest.
+    echo "== $build: bench_micro_nn qgemm smoke =="
+    "./$build/bench/bench_micro_nn" --op=qgemm \
+        --benchmark_min_time=0.05 2>&1 | grep -q "BM_QgemmNtVoyager"
+    # Flat hash sweeps (section 5.15).
+    smoke bench_micro_hash "micro_hash.isb.keys" \
+        --n_vocab=4096 --n_isb=4096 --reps=1
+    # Batched serving (section 5.16), including the closed serve.*
+    # namespace.
+    smoke bench_serve "serve.batch_size" --scale=tiny --tenants=2 \
+        --requests=40 --serve_batches=1,4 --serve_train_samples=200
+    # Overload resilience (section 5.19): the chaos ladder degrades
+    # under the canned serve fault plan.
+    smoke bench_serve "serve.degrade.rung fault.serve.stalls" \
+        --scale=tiny --tenants=3 --requests=60 --serve_batches=4 \
+        --serve_train_samples=200 --chaos --tenant_quota=12 \
+        --queue_cap=24
+    # Tabularized serving (section 5.18): teacher, distil, frontier.
+    smoke bench_distill \
+        "distill.frontier.b65536_h1.hit_rate distill.teacher.unified" \
+        --scale=tiny --epochs=1 --passes=1 --distill_train_samples=300 \
+        --max_samples=300 --distill_budgets=4096,65536 \
+        --distill_backoffs=1
 
-echo "== release: ctest -L fault =="
-ctest --preset fault --output-on-failure
+    # An invalid server config must fail fast with its message, not
+    # spin forever (a timeout kill prints no message).
+    echo "== $build: bench_serve --serve_batches=0 must fail =="
+    if timeout 30 "./$build/bench/bench_serve" --scale=tiny \
+        --tenants=1 --requests=10 --serve_train_samples=50 \
+        --engines=fp32 --serve_batches=0 >/dev/null 2>"$tmp/err"; then
+        echo "bench_serve accepted --serve_batches=0" >&2
+        exit 1
+    fi
+    grep -q "max_batch must be > 0" "$tmp/err"
+done
 
-echo "== release: ctest -L serve =="
-ctest --preset serve --output-on-failure
+# Transformer workloads (section 5.17): rules plus Voyager at tiny
+# scale; the neural result is bench_cache-keyed, so reruns are cheap.
+# Release only: uncached training under ASan takes minutes.
+build=build
+smoke bench_transformer \
+    "transformer.xf_decode.stream_group.acc prefetch.stream_group.fast_tracks" \
+    --scale=tiny --epochs=2 --passes=1
 
-echo "== release: ctest -L transformer =="
-ctest --preset transformer --output-on-failure
-
-echo "== release: ctest -L distill =="
-ctest --preset distill --output-on-failure
-
-echo "== release: ctest -L chaos =="
-ctest --preset chaos --output-on-failure
-
-echo "== asan-ubsan: configure + build =="
-cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j1
-
-echo "== asan-ubsan: ctest -L tier1 =="
-ctest --preset asan-tier1 --output-on-failure
-
-echo "== asan-ubsan: ctest -L checkpoint =="
-ctest --preset asan-checkpoint --output-on-failure
-
-echo "== asan-ubsan: ctest -L fault =="
-ctest --preset asan-fault --output-on-failure
-
-echo "== asan-ubsan: ctest -L serve =="
-ctest --preset asan-serve --output-on-failure
-
-echo "== asan-ubsan: ctest -L transformer =="
-ctest --preset asan-transformer --output-on-failure
-
-echo "== asan-ubsan: ctest -L distill =="
-ctest --preset asan-distill --output-on-failure
-
-echo "== asan-ubsan: ctest -L chaos =="
-ctest --preset asan-chaos --output-on-failure
-
-echo "== stats schema validation =="
-out=$(mktemp /tmp/voyager_stats.XXXXXX.json)
-trap 'rm -f "$out"' EXIT
-./build/bench/bench_table1_hparams --stats_json="$out" >/dev/null
-python3 tools/check_stats_schema.py "$out"
-
-# Int8 engine smoke (DESIGN.md section 5.13): the qgemm microkernel
-# benchmarks must run and report throughput. The correctness tests
-# (test_quantized) already ran in both tier-1 gates above; this just
-# proves the VNNI/portable kernel executes outside gtest too.
-echo "== bench_micro_nn qgemm smoke =="
-qgemm_out=$(./build/bench/bench_micro_nn --op=qgemm \
-    --benchmark_min_time=0.05 2>&1)
-printf '%s\n' "$qgemm_out" | grep -q "BM_QgemmNtVoyager"
-
-# Flat-hash smoke (DESIGN.md section 5.15): tiny key counts — this
-# proves the sweeps execute and emit a schema-valid micro_hash.*
-# document in both build flavours, not that the speedups hold (the
-# perf claims live in the full bench run). The ASan build exercises
-# the raw-memory slot array under instrumentation.
-echo "== bench_micro_hash smoke (release + asan) =="
-hash_out=$(mktemp /tmp/voyager_hash.XXXXXX.json)
-./build/bench/bench_micro_hash --n_vocab=4096 --n_isb=4096 \
-    --reps=1 --stats_json="$hash_out" >/dev/null
-python3 tools/check_stats_schema.py "$hash_out"
-rm -f "$hash_out"
-./build-asan/bench/bench_micro_hash --n_vocab=2048 --n_isb=2048 \
-    --reps=1 >/dev/null
-
-# Serving-layer smoke (DESIGN.md section 5.16): a tiny tenant sweep
-# must run end to end and emit a schema-valid document including the
-# closed serve.* namespace; the ASan run drives the batcher/server
-# hot path under instrumentation. Tiny caps keep both under a minute;
-# the throughput claims live in the full bench_serve run.
-echo "== bench_serve smoke (release + asan) =="
-serve_out=$(mktemp /tmp/voyager_serve.XXXXXX.json)
-./build/bench/bench_serve --scale=tiny --tenants=2 --requests=40 \
-    --serve_batches=1,4 --serve_train_samples=200 \
-    --stats_json="$serve_out" >/dev/null
-python3 tools/check_stats_schema.py "$serve_out"
-grep -q '"serve.batch_size"' "$serve_out"
-rm -f "$serve_out"
-./build-asan/bench/bench_serve --scale=tiny --tenants=2 \
-    --requests=20 --serve_batches=4 --serve_train_samples=100 \
-    >/dev/null
-
-# Overload-resilience smoke (DESIGN.md section 5.19): the chaos
-# ladder run must degrade under the canned serve fault plan and emit
-# a schema-valid document carrying the closed serve.degrade.* and
-# fault.serve.* namespaces. The chaos ctest suites above pin the
-# byte-identical replays; this proves the bench path executes too.
-echo "== bench_serve --chaos smoke =="
-chaos_out=$(mktemp /tmp/voyager_chaos.XXXXXX.json)
-./build/bench/bench_serve --scale=tiny --tenants=3 --requests=60 \
-    --serve_batches=4 --serve_train_samples=200 --chaos \
-    --tenant_quota=12 --queue_cap=24 \
-    --stats_json="$chaos_out" >/dev/null
-python3 tools/check_stats_schema.py "$chaos_out"
-grep -q '"serve.degrade.rung"' "$chaos_out"
-grep -q '"fault.serve.stalls"' "$chaos_out"
-rm -f "$chaos_out"
-
-# Transformer-workload smoke (DESIGN.md section 5.17): the full
-# prefetcher sweep (rules + Voyager) must run end to end at tiny
-# scale and emit a schema-valid document including the closed
-# transformer.* and prefetch.stream_group.* namespaces. The neural
-# result is cache-keyed like every other bench training, so reruns
-# only pay for the rule-based sweep.
-echo "== bench_transformer smoke (tiny) =="
-xf_out=$(mktemp /tmp/voyager_xf.XXXXXX.json)
-./build/bench/bench_transformer --scale=tiny --epochs=2 --passes=1 \
-    --stats_json="$xf_out" >/dev/null
-python3 tools/check_stats_schema.py "$xf_out"
-grep -q '"transformer.xf_decode.stream_group.acc"' "$xf_out"
-grep -q '"prefetch.stream_group.fast_tracks"' "$xf_out"
-rm -f "$xf_out"
-
-# Tabularized-serving smoke (DESIGN.md section 5.18): a tiny
-# budget x backoff sweep must run end to end — train the teacher,
-# distill, probe the frontier — and emit a schema-valid document
-# including the closed distill.* namespace. The ASan run drives the
-# probe/fallback hot path under instrumentation. Tiny caps keep both
-# fast; the >=10x speedup claim lives in the full bench_distill run.
-echo "== bench_distill smoke (release + asan) =="
-distill_out=$(mktemp /tmp/voyager_distill.XXXXXX.json)
-./build/bench/bench_distill --scale=tiny --epochs=1 --passes=1 \
-    --distill_train_samples=300 --max_samples=300 \
-    --distill_budgets=4096,65536 --distill_backoffs=1 \
-    --stats_json="$distill_out" >/dev/null
-python3 tools/check_stats_schema.py "$distill_out"
-grep -q '"distill.frontier.b65536_h1.hit_rate"' "$distill_out"
-grep -q '"distill.teacher.unified"' "$distill_out"
-rm -f "$distill_out"
-./build-asan/bench/bench_distill --scale=tiny --epochs=1 --passes=1 \
-    --distill_train_samples=150 --max_samples=150 \
-    --distill_budgets=16384 --distill_backoffs=1 >/dev/null
+echo "== perfbench smoke =="
+python3 perfbench/smoke_test.py
 
 echo "all gates passed"
