@@ -43,6 +43,7 @@
 #include <iostream>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,10 +153,8 @@ run_ladder(core::VoyagerAdapter &adapter, const core::TabularTable &table,
     export_fault_stats(reg);
 }
 
-}  // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::BenchContext ctx(argc, argv, "serve");
     ctx.print_banner(std::cout,
@@ -325,4 +324,19 @@ main(int argc, char **argv)
                    ctx.seed(), ctx.stats());
     }
     return ctx.exit_code();
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    // PrefetchServer rejects an invalid config (e.g. --serve_batches=0)
+    // at construction; report it and exit non-zero.
+    try {
+        return run(argc, argv);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "bench_serve: " << e.what() << "\n";
+        return 2;
+    }
 }

@@ -40,9 +40,11 @@ for preset in release asan-ubsan; do
     ctest --preset "$tests" --output-on-failure
 
     # Int8 qgemm microkernel (DESIGN.md section 5.13) outside gtest.
+    # Capture first so the bench's own exit status gates the pass.
     echo "== $build: bench_micro_nn qgemm smoke =="
-    "./$build/bench/bench_micro_nn" --op=qgemm \
-        --benchmark_min_time=0.05 2>&1 | grep -q "BM_QgemmNtVoyager"
+    out=$("./$build/bench/bench_micro_nn" --op=qgemm \
+        --benchmark_min_time=0.05 2>&1)
+    printf '%s\n' "$out" | grep -q "BM_QgemmNtVoyager"
     # Flat hash sweeps (section 5.15).
     smoke bench_micro_hash "micro_hash.isb.keys" \
         --n_vocab=4096 --n_isb=4096 --reps=1
@@ -64,7 +66,8 @@ for preset in release asan-ubsan; do
         --distill_backoffs=1
 
     # An invalid server config must fail fast with its message, not
-    # spin forever (a timeout kill prints no message).
+    # spin forever (a timeout kill prints no message); bench_serve
+    # catches the constructor's exception and prints it itself.
     echo "== $build: bench_serve --serve_batches=0 must fail =="
     if timeout 30 "./$build/bench/bench_serve" --scale=tiny \
         --tenants=1 --requests=10 --serve_train_samples=50 \
