@@ -1,41 +1,13 @@
 #include "nn/lstm.hpp"
 
 #include <cassert>
-#include <cmath>
 
+#include "nn/activation.hpp"
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
 
 namespace voyager::nn {
-
-namespace {
-
-/**
- * Fused per-row gate pass shared by forward() and
- * forward_inference() so the two stay bit-identical: bias add +
- * activations + cell/hidden update in one sweep over a row of z.
- * `cp == nullptr` means c_{-1} = 0 (the t = 0 step).
- */
-inline void
-lstm_gate_row(float *zr, const float *bias, const float *cp, float *cr,
-              float *hr, std::size_t h)
-{
-    for (std::size_t j = 0; j < h; ++j) {
-        float &gi = zr[j];
-        float &gf = zr[h + j];
-        float &gg = zr[2 * h + j];
-        float &go = zr[3 * h + j];
-        gi = 1.0f / (1.0f + std::exp(-(gi + bias[j])));
-        gf = 1.0f / (1.0f + std::exp(-(gf + bias[h + j])));
-        gg = std::tanh(gg + bias[2 * h + j]);
-        go = 1.0f / (1.0f + std::exp(-(go + bias[3 * h + j])));
-        cr[j] = gi * gg + (cp ? gf * cp[j] : 0.0f);
-        hr[j] = go * std::tanh(cr[j]);
-    }
-}
-
-}  // namespace
 
 Lstm::Lstm(std::size_t in_dim, std::size_t hidden, Rng &rng)
     : wx_(in_dim, 4 * hidden), wh_(hidden, 4 * hidden), b_(1, 4 * hidden)
@@ -67,7 +39,6 @@ Lstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
         hs_.resize(T);
     }
 
-    const float *bias = b_.value.data();
     for (std::size_t t = 0; t < T; ++t) {
         assert(xs[t].rows() == batch && xs[t].cols() == in_dim());
         Matrix &z = gates_[t];
@@ -80,12 +51,8 @@ Lstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
         hs_[t].resize(batch, h);
         // Fused gate pass (c_{-1} = 0 at t = 0; previous states are
         // read in place, not copied per step).
-        ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
-        for (std::size_t r = 0; r < batch; ++r) {
-            lstm_gate_row(z.row(r), bias,
-                          t > 0 ? cs_[t - 1].row(r) : nullptr,
-                          cs_[t].row(r), hs_[t].row(r), h);
-        }
+        lstm_gates_forward(z, b_.value, t > 0 ? &cs_[t - 1] : nullptr,
+                           cs_[t], hs_[t]);
     }
     h_last = hs_[T - 1];
 }
@@ -104,7 +71,6 @@ Lstm::forward_inference(const std::vector<Matrix> &xs, Matrix &h_last)
     xs_ = nullptr;
     steps_ = 0;
 
-    const float *bias = b_.value.data();
     Matrix &z = inf_z_;
     Matrix &h_prev = inf_h_;
     for (std::size_t t = 0; t < T; ++t) {
@@ -121,12 +87,8 @@ Lstm::forward_inference(const std::vector<Matrix> &xs, Matrix &h_last)
             h_prev.resize_uninit(batch, h);
         // h_prev is rewritten to h_t in place: both GEMMs for this
         // step have already consumed it.
-        ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
-        for (std::size_t r = 0; r < batch; ++r) {
-            lstm_gate_row(z.row(r), bias,
-                          t > 0 ? c_prev.row(r) : nullptr,
-                          c_cur.row(r), h_prev.row(r), h);
-        }
+        lstm_gates_forward(z, b_.value, t > 0 ? &c_prev : nullptr, c_cur,
+                           h_prev);
     }
     h_last = h_prev;
 }
@@ -148,39 +110,8 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
     Matrix dz(batch, 4 * h);
 
     for (std::size_t t = T; t-- > 0;) {
-        const Matrix &gates = gates_[t];
-        const Matrix &c = cs_[t];
-        const Matrix *c_prev = t > 0 ? &cs_[t - 1] : nullptr;
-
-        {
-            ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
-            for (std::size_t r = 0; r < batch; ++r) {
-                const float *zr = gates.row(r);
-                const float *cr = c.row(r);
-                const float *cpr = c_prev ? c_prev->row(r) : nullptr;
-                const float *dhr = dh.row(r);
-                float *dcr = dc.row(r);
-                float *dzr = dz.row(r);
-                for (std::size_t j = 0; j < h; ++j) {
-                    const float gi = zr[j];
-                    const float gf = zr[h + j];
-                    const float gg = zr[2 * h + j];
-                    const float go = zr[3 * h + j];
-                    const float tc = std::tanh(cr[j]);
-                    const float d_h = dhr[j];
-                    const float d_o = d_h * tc;
-                    float d_c = dcr[j] + d_h * go * (1.0f - tc * tc);
-                    const float d_i = d_c * gg;
-                    const float d_f = d_c * (cpr ? cpr[j] : 0.0f);
-                    const float d_g = d_c * gi;
-                    dcr[j] = d_c * gf;  // flows to step t-1
-                    dzr[j] = d_i * gi * (1.0f - gi);
-                    dzr[h + j] = d_f * gf * (1.0f - gf);
-                    dzr[2 * h + j] = d_g * (1.0f - gg * gg);
-                    dzr[3 * h + j] = d_o * go * (1.0f - go);
-                }
-            }
-        }
+        lstm_gates_backward(gates_[t], cs_[t],
+                            t > 0 ? &cs_[t - 1] : nullptr, dh, dc, dz);
 
         gemm_tn(xs[t], dz, wx_.grad);
         bias_backward(dz, b_.grad);

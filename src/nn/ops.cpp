@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "nn/activation.hpp"
+
 namespace voyager::nn {
 
 OpStats &
@@ -478,17 +480,13 @@ softmax_rows(Matrix &m)
 void
 sigmoid_inplace(Matrix &m)
 {
-    float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        d[i] = 1.0f / (1.0f + std::exp(-d[i]));
+    sigmoid_span(m.data(), m.data(), m.size());
 }
 
 void
 tanh_inplace(Matrix &m)
 {
-    float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        d[i] = std::tanh(d[i]);
+    tanh_span(m.data(), m.data(), m.size());
 }
 
 void

@@ -118,10 +118,10 @@ void bias_backward(const Matrix &dy, Matrix &bias_grad);
 /** Row-wise softmax in place. Numerically stabilized. */
 void softmax_rows(Matrix &m);
 
-/** Elementwise logistic sigmoid in place. */
+/** Elementwise logistic sigmoid in place (nn/activation kernel). */
 void sigmoid_inplace(Matrix &m);
 
-/** Elementwise tanh in place. */
+/** Elementwise tanh in place (nn/activation kernel). */
 void tanh_inplace(Matrix &m);
 
 /** Elementwise product: y = a ⊙ b. */

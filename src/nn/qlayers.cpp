@@ -1,9 +1,9 @@
 #include "nn/qlayers.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <utility>
 
+#include "nn/activation.hpp"
 #include "nn/ops.hpp"
 #include "nn/qops.hpp"
 
@@ -95,7 +95,6 @@ QuantizedLstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
 
     h_prev_.resize(batch, h);
     c_prev_.resize(batch, h);
-    const float *bias = bias_.data();
     for (std::size_t t = 0; t < T; ++t) {
         assert(xs[t].rows() == batch && xs[t].cols() == in_dim());
         z_.resize(batch, 4 * h);  // zero-fills: the qgemms accumulate
@@ -119,26 +118,10 @@ QuantizedLstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
         }
 
         c_cur_.resize_uninit(batch, h);
-        // fp32 tail: identical fused gate pass to Lstm::forward.
-        ScopedOpTimer timer(op_stats().lstm_gate, batch * h);
-        for (std::size_t r = 0; r < batch; ++r) {
-            float *zr = z_.row(r);
-            const float *cp = t > 0 ? c_prev_.row(r) : nullptr;
-            float *cr = c_cur_.row(r);
-            float *hr = h_prev_.row(r);  // overwritten to h_t
-            for (std::size_t j = 0; j < h; ++j) {
-                float &gi = zr[j];
-                float &gf = zr[h + j];
-                float &gg = zr[2 * h + j];
-                float &go = zr[3 * h + j];
-                gi = 1.0f / (1.0f + std::exp(-(gi + bias[j])));
-                gf = 1.0f / (1.0f + std::exp(-(gf + bias[h + j])));
-                gg = std::tanh(gg + bias[2 * h + j]);
-                go = 1.0f / (1.0f + std::exp(-(go + bias[3 * h + j])));
-                cr[j] = gi * gg + (cp ? gf * cp[j] : 0.0f);
-                hr[j] = go * std::tanh(cr[j]);
-            }
-        }
+        // fp32 tail: the same fused gate pass as Lstm::forward; h_prev_
+        // is overwritten to h_t.
+        lstm_gates_forward(z_, bias_, t > 0 ? &c_prev_ : nullptr, c_cur_,
+                           h_prev_);
         std::swap(c_prev_, c_cur_);
     }
     h_last = h_prev_;

@@ -45,6 +45,12 @@ for preset in release asan-ubsan; do
     out=$("./$build/bench/bench_micro_nn" --op=qgemm \
         --benchmark_min_time=0.05 2>&1)
     printf '%s\n' "$out" | grep -q "BM_QgemmNtVoyager"
+    # LSTM forward/backward on the fused gate passes (section 5.20),
+    # captured the same way.
+    echo "== $build: bench_micro_nn lstm smoke =="
+    out=$("./$build/bench/bench_micro_nn" --op=lstm \
+        --benchmark_min_time=0.05 2>&1)
+    printf '%s\n' "$out" | grep -q "BM_LstmForward"
     # Flat hash sweeps (section 5.15).
     smoke bench_micro_hash "micro_hash.isb.keys" \
         --n_vocab=4096 --n_isb=4096 --reps=1
