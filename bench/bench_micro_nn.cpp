@@ -144,6 +144,47 @@ BENCHMARK(BM_GemmNtShaped<nn::gemm_nt_ref>)
     ->Name("BM_GemmNtRefVoyager")
     ->Apply(GemmVoyagerShapes);
 
+// The GEMMs the benchmark's model (perfbench, small scale: batch 64,
+// 72-wide LSTM input, 64 LSTM units, page/offset heads of 191/47
+// classes) issues per training step, and the 8-row serve batch.
+// Forward and heads: C(m,n) = X W. Backward: weight gradients Xᵀ dZ
+// (tn) and input gradients dZ Wᵀ (nt; Lstm::backward runs them as nn
+// on a once-transposed W, the last two nn shapes).
+
+void
+GemmModelNnShapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({64, 72, 256})
+        ->Args({64, 64, 256})
+        ->Args({8, 72, 256})
+        ->Args({64, 64, 47})
+        ->Args({64, 64, 191})
+        ->Args({64, 256, 72})
+        ->Args({64, 256, 64});
+}
+
+void
+GemmModelTnShapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({72, 64, 256});
+}
+
+void
+GemmModelNtShapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({64, 256, 72})->Args({64, 256, 64});
+}
+
+BENCHMARK(BM_GemmNnShaped<nn::gemm_nn>)
+    ->Name("BM_GemmNnModel")
+    ->Apply(GemmModelNnShapes);
+BENCHMARK(BM_GemmTnShaped<nn::gemm_tn>)
+    ->Name("BM_GemmTnModel")
+    ->Apply(GemmModelTnShapes);
+BENCHMARK(BM_GemmNtShaped<nn::gemm_nt>)
+    ->Name("BM_GemmNtModel")
+    ->Apply(GemmModelNtShapes);
+
 // ---------------------------------------------------------------------
 // Int8 qgemm vs fp32 at inference shapes (DESIGN.md §5.13). The first
 // two arg sets are the Voyager head (batch x lstm_units -> vocab),

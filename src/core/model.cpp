@@ -229,14 +229,16 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
     } else {
         // Softmax CE against one candidate per sample: either the
         // most-predictable candidate (multi-label SoftmaxBest) or the
-        // first candidate (single-label ablations).
+        // first candidate (single-label ablations). Each head's
+        // softmax is computed once, into its gradient buffer: it picks
+        // the candidate, then becomes the CE gradient.
         std::vector<std::int32_t> pl(batch.batch);
         std::vector<std::int32_t> ol(batch.batch);
+        dpage = page_logits_;
+        doffset = offset_logits_;
+        nn::softmax_rows(dpage);
+        nn::softmax_rows(doffset);
         if (cfg_.multi_label) {
-            Matrix page_probs = page_logits_;
-            Matrix offset_probs = offset_logits_;
-            nn::softmax_rows(page_probs);
-            nn::softmax_rows(offset_probs);
             for (std::size_t b = 0; b < batch.batch; ++b) {
                 assert(!batch.labels[b].empty());
                 // "Most predictable" candidate, with a stability rule:
@@ -248,11 +250,10 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
                 for (std::size_t k = 0; k < batch.labels[b].size();
                      ++k) {
                     const TokenLabel &lab = batch.labels[b][k];
-                    ps[k] =
-                        page_probs.at(b, static_cast<std::size_t>(
-                                             lab.page)) *
-                        offset_probs.at(b, static_cast<std::size_t>(
-                                               lab.offset));
+                    ps[k] = dpage.at(b, static_cast<std::size_t>(
+                                            lab.page)) *
+                            doffset.at(b, static_cast<std::size_t>(
+                                              lab.offset));
                     max_p = std::max(max_p, ps[k]);
                 }
                 std::size_t pick = 0;
@@ -272,8 +273,8 @@ VoyagerModel::train_step(const VoyagerBatch &batch)
                 ol[b] = batch.labels[b][0].offset;
             }
         }
-        loss += nn::softmax_ce_loss(page_logits_, pl, dpage);
-        loss += nn::softmax_ce_loss(offset_logits_, ol, doffset);
+        loss += nn::softmax_ce_loss_from_probs(dpage, pl);
+        loss += nn::softmax_ce_loss_from_probs(doffset, ol);
     }
 
     backward(batch, dpage, doffset);

@@ -44,16 +44,16 @@ Adam::step()
             static_cast<float>(*faults.grad);
     }
 
-    std::vector<Matrix *> grads;
-    for (auto &s : dense_)
-        grads.push_back(&s.param->grad);
-    // Embedding grads participate in the global norm as well.
-    for (auto &s : sparse_)
-        grads.push_back(&s.emb->param().grad);
-
+    // Global gradient norm. An embedding's gradient is zero outside
+    // its touched rows, so only those rows are summed (and scaled).
     double total = 0.0;
-    for (const Matrix *g : grads)
-        total += sum_squares(*g);
+    for (const auto &s : dense_)
+        total += sum_squares(s.param->grad);
+    for (const auto &s : sparse_) {
+        const Param &p = s.emb->param();
+        for (const auto row : s.emb->touched())
+            total += sum_squares(p.grad.row(row), p.grad.cols());
+    }
     const double norm = std::sqrt(total);
     if (!std::isfinite(norm)) {
         // A NaN/Inf gradient would smear poison into every moment and
@@ -64,13 +64,11 @@ Adam::step()
         zero_grad();
         return;
     }
-    if (cfg_.clip_norm > 0.0 && norm > cfg_.clip_norm && norm > 0.0) {
-        // Inline clip reusing the norm computed for the finite-ness
-        // check (clip_gradients would sweep the gradients again).
-        const float scale = static_cast<float>(cfg_.clip_norm / norm);
-        for (Matrix *g : grads)
-            scale_inplace(*g, scale);
-    }
+    // The clip scale is applied as each gradient is read (g * 1.0f is
+    // g exactly, so an unclipped step reads the gradient unchanged).
+    float gscale = 1.0f;
+    if (cfg_.clip_norm > 0.0 && norm > cfg_.clip_norm && norm > 0.0)
+        gscale = static_cast<float>(cfg_.clip_norm / norm);
 
     ++t_;
     const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
@@ -81,11 +79,14 @@ Adam::step()
     const auto b2 = static_cast<float>(cfg_.beta2);
     const auto eps = static_cast<float>(cfg_.eps);
 
+    // Vectorises: the file is built with -fno-math-errno, so sqrt is
+    // an instruction (v >= 0, so errno could never be set anyway).
     auto update_span = [&](float *w, float *g, float *m, float *v,
                            std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) {
-            m[i] = b1 * m[i] + (1.0f - b1) * g[i];
-            v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
+            const float gi = g[i] * gscale;
+            m[i] = b1 * m[i] + (1.0f - b1) * gi;
+            v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
             w[i] -= lr_t * m[i] / (std::sqrt(v[i]) + eps);
             g[i] = 0.0f;
         }

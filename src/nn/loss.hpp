@@ -24,6 +24,14 @@ double softmax_ce_loss(const Matrix &logits,
                        Matrix &dlogits);
 
 /**
+ * softmax_ce_loss() for a caller that already holds softmax_rows() of
+ * the logits: turns `probs` into the logit gradient in place and
+ * returns the same loss, bit for bit.
+ */
+double softmax_ce_loss_from_probs(Matrix &probs,
+                                  const std::vector<std::int32_t> &labels);
+
+/**
  * Mean multi-label BCE-with-logits: every class listed in labels[r]
  * is a positive for row r, everything else a negative (paper §4.4).
  * The per-row loss is summed over classes, then averaged over rows.

@@ -9,6 +9,22 @@
 
 namespace voyager::nn {
 
+namespace {
+
+/** dst = src^T, reusing dst's buffer. */
+void
+transpose_into(const Matrix &src, Matrix &dst)
+{
+    dst.resize_uninit(src.cols(), src.rows());
+    for (std::size_t r = 0; r < src.rows(); ++r) {
+        const float *row = src.row(r);
+        for (std::size_t c = 0; c < src.cols(); ++c)
+            dst.at(c, r) = row[c];
+    }
+}
+
+}  // namespace
+
 Lstm::Lstm(std::size_t in_dim, std::size_t hidden, Rng &rng)
     : wx_(in_dim, 4 * hidden), wh_(hidden, 4 * hidden), b_(1, 4 * hidden)
 {
@@ -108,6 +124,12 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
     Matrix dh = dh_last;
     Matrix dc(batch, h);
     Matrix dz(batch, 4 * h);
+    // The input gradients are dz W^T at every step. Transpose each
+    // weight once here so the steps run gemm_nn on it instead of a
+    // gemm_nt that would re-pack W^T per call; same products, same k
+    // order, same bits.
+    transpose_into(wx_.value, wx_t_);
+    transpose_into(wh_.value, wh_t_);
 
     for (std::size_t t = T; t-- > 0;) {
         lstm_gates_backward(gates_[t], cs_[t],
@@ -116,12 +138,12 @@ Lstm::backward(const Matrix &dh_last, std::vector<Matrix> &dxs)
         gemm_tn(xs[t], dz, wx_.grad);
         bias_backward(dz, b_.grad);
         dxs[t].resize(batch, in_dim());
-        gemm_nt(dz, wx_.value, dxs[t]);
+        gemm_nn(dz, wx_t_, dxs[t]);
 
         if (t > 0) {
             gemm_tn(hs_[t - 1], dz, wh_.grad);
-            dh.resize(batch, h);  // zero-fills: gemm_nt accumulates
-            gemm_nt(dz, wh_.value, dh);
+            dh.resize(batch, h);  // zero-fills: gemm_nn accumulates
+            gemm_nn(dz, wh_t_, dh);
         }
     }
 }

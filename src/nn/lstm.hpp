@@ -88,6 +88,10 @@ class Lstm
     Matrix inf_z_;     // (B, 4H)
     Matrix inf_c_[2];  // (B, H) ping-pong cell state
     Matrix inf_h_;     // (B, H) hidden, updated in place per step
+
+    // backward() scratch: the weights transposed once per call.
+    Matrix wx_t_;  // (4H, in)
+    Matrix wh_t_;  // (4H, H)
 };
 
 }  // namespace voyager::nn

@@ -59,18 +59,20 @@ ScopedOpTimer::~ScopedOpTimer()
 namespace {
 
 // ---------------------------------------------------------------------
-// Packed register-blocked GEMM microkernel (single core).
+// Register-blocked GEMM microkernel (single core).
 //
-// GotoBLAS-style: A is packed into MR-row panels (column-major within
-// the panel), B into NR-column panels (row-major within the panel), so
-// the microkernel streams both with unit stride and keeps an MR x NR
-// accumulator tile in vector registers across the whole k loop. The
-// tile is expressed with ISA-agnostic GCC/Clang vector extensions
-// (the compiler legalises them for whatever -march is active, so the
-// same source serves AVX-512, AVX2 and scalar targets); each k step
-// is one broadcast of an A element FMA'd against B vectors. Panel
-// edges are zero-padded: padded lanes compute zeros and the
-// write-back masks them off, which keeps the kernel branch-free for
+// GotoBLAS-style tile: the microkernel keeps an MR x NR accumulator
+// tile in vector registers across the whole k loop; each k step is one
+// broadcast of an op(A) element per row FMA'd against NR-wide B
+// vectors. A broadcast can read any address, so op(A) is never packed:
+// the kernel reads it in place, row-major (A) or column-major (A^T).
+// B is read as unit-stride NR-float strips, so only a transposed B and
+// the ragged last column tile are packed (zero-padded) into reused
+// thread-local scratch. Rows past the edge of a ragged row tile alias
+// the tile's first row: they are computed and never written back. The
+// tile is expressed with ISA-agnostic GCC/Clang vector extensions (the
+// compiler legalises them for whatever -march is active, so the same
+// source serves AVX-512, AVX2 and scalar targets), branch-free for
 // dense activations (no data-dependent zero-skip — that defeated
 // vectorisation in the seed kernels).
 // ---------------------------------------------------------------------
@@ -79,48 +81,10 @@ constexpr std::size_t MR = 8;   ///< rows per register tile
 constexpr std::size_t NR = 32;  ///< cols per register tile
 
 std::vector<float> &
-pack_buf_a()
-{
-    static thread_local std::vector<float> buf;
-    return buf;
-}
-
-std::vector<float> &
 pack_buf_b()
 {
     static thread_local std::vector<float> buf;
     return buf;
-}
-
-/**
- * Pack one MR-row panel of op(A) (m,k) starting at row i0:
- * dst[p][i] = op(A)(i0+i, p), zero-padded to MR rows. trans selects
- * op(A) = A^T, reading A as (k,m).
- */
-void
-pack_a_tile(const Matrix &a, bool trans, std::size_t i0,
-            std::size_t irem, std::size_t k, float *dst)
-{
-    if (trans) {
-        // op(A)(i, p) = A(p, i): each p reads MR contiguous floats.
-        for (std::size_t p = 0; p < k; ++p) {
-            const float *src = a.row(p) + i0;
-            float *d = dst + p * MR;
-            for (std::size_t i = 0; i < irem; ++i)
-                d[i] = src[i];
-            for (std::size_t i = irem; i < MR; ++i)
-                d[i] = 0.0f;
-        }
-    } else {
-        // Column walk over A's rows i0..i0+irem.
-        for (std::size_t p = 0; p < k; ++p) {
-            float *d = dst + p * MR;
-            for (std::size_t i = 0; i < irem; ++i)
-                d[i] = a.at(i0 + i, p);
-            for (std::size_t i = irem; i < MR; ++i)
-                d[i] = 0.0f;
-        }
-    }
 }
 
 /**
@@ -154,8 +118,6 @@ pack_b_tile(const Matrix &b, bool trans, std::size_t j0,
     }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-
 /** 16-float vector; aligned(4) legalises unaligned loads/stores. */
 using vfloat
     = float __attribute__((vector_size(64), aligned(4), may_alias));
@@ -163,27 +125,31 @@ constexpr std::size_t VL = 16;        ///< lanes per vector
 constexpr std::size_t NV = NR / VL;   ///< vectors per tile row
 
 /**
- * MR x NR register tile: C[0:mrem,0:nrem] += Apanel * Bpanel. The
- * panels are walked with explicit strides so full tiles can be read
- * straight out of the source matrices (stride = leading dimension)
- * instead of packed copies; packed panels use stride MR / NR. Callers
- * guarantee MR (NR) floats are readable at every step — ragged edge
- * tiles always come packed and zero-padded.
+ * MR x NR register tile: C[0:mrem,0:nrem] += op(A) * Bpanel. op(A)'s
+ * tile starts at `a`: element (i, p) is a[i*lda + p], or a[p*lda + i]
+ * when ATrans. The B panel is walked with stride bstride (B's leading
+ * dimension when read in place, NR when packed); callers guarantee NR
+ * floats are readable at every step.
  */
+template <bool ATrans>
 void
-micro_kernel(std::size_t k, const float *__restrict ap,
-             std::size_t astride, const float *__restrict bp,
-             std::size_t bstride, float *__restrict c, std::size_t ldc,
-             std::size_t mrem, std::size_t nrem)
+micro_kernel(std::size_t k, const float *__restrict a, std::size_t lda,
+             const float *__restrict bp, std::size_t bstride,
+             float *__restrict c, std::size_t ldc, std::size_t mrem,
+             std::size_t nrem)
 {
+    const std::size_t row_step = ATrans ? 1 : lda;
+    const std::size_t col_step = ATrans ? lda : 1;
+    const float *arow[MR];
+    for (std::size_t i = 0; i < MR; ++i)
+        arow[i] = a + (i < mrem ? i : 0) * row_step;
     vfloat acc[MR][NV] = {};
     for (std::size_t p = 0; p < k; ++p) {
-        const float *__restrict arow = ap + p * astride;
         const auto *__restrict brow
             = reinterpret_cast<const vfloat *>(bp + p * bstride);
         for (std::size_t i = 0; i < MR; ++i)
             for (std::size_t w = 0; w < NV; ++w)
-                acc[i][w] += brow[w] * arow[i];
+                acc[i][w] += brow[w] * arow[i][p * col_step];
     }
     if (mrem == MR && nrem == NR) {
         for (std::size_t i = 0; i < MR; ++i) {
@@ -202,71 +168,29 @@ micro_kernel(std::size_t k, const float *__restrict ap,
     }
 }
 
-#else  // fallback for compilers without vector extensions
-
-void
-micro_kernel(std::size_t k, const float *ap, std::size_t astride,
-             const float *bp, std::size_t bstride, float *c,
-             std::size_t ldc, std::size_t mrem, std::size_t nrem)
-{
-    float acc[MR][NR] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *arow = ap + p * astride;
-        const float *brow = bp + p * bstride;
-        for (std::size_t i = 0; i < MR; ++i)
-            for (std::size_t j = 0; j < NR; ++j)
-                acc[i][j] += arow[i] * brow[j];
-    }
-    for (std::size_t i = 0; i < mrem; ++i) {
-        float *crow = c + i * ldc;
-        for (std::size_t j = 0; j < nrem; ++j)
-            crow[j] += acc[i][j];
-    }
-}
-
-#endif
-
 /**
- * Shared driver: C += op(A) * op(B). Operands whose memory layout
- * already matches the panel layout are read in place (A when
- * transposed, B when not — both then walk contiguous MR/NR-float
- * strips per k step); only layout-mismatched operands and ragged edge
- * tiles are packed into reused thread-local scratch.
+ * Shared driver: C += op(A) * op(B). op(A) is read in place; op(B) is
+ * read in place when B is not transposed, except for a ragged last
+ * column tile, which (like every tile of a transposed B) is packed.
  */
+template <bool ATrans>
 void
-gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
-            Matrix &c)
+gemm_tiled(const Matrix &a, const Matrix &b, bool b_trans, Matrix &c)
 {
     const std::size_t m = c.rows();
     const std::size_t n = c.cols();
-    const std::size_t k = a_trans ? a.rows() : a.cols();
+    const std::size_t k = ATrans ? a.rows() : a.cols();
     ScopedOpTimer timer(op_stats().gemm, 2ull * m * n * k);
     if (m == 0 || n == 0 || k == 0)
         return;
 
-    const std::size_t tiles_m = (m + MR - 1) / MR;
     const std::size_t tiles_n = (n + NR - 1) / NR;
-    const bool a_direct = a_trans;    // op(A) rows are contiguous in A
     const bool b_direct = !b_trans;   // op(B) rows are contiguous in B
-    const std::size_t a_edge = m % MR;
     const std::size_t b_edge = n % NR;
 
-    // Pack everything layout-mismatched; in direct mode pack only the
-    // zero-padded ragged edge tile (if any) at the buffer's start.
-    auto &abuf = pack_buf_a();
+    // Pack a transposed B whole; a direct B only for its zero-padded
+    // ragged edge tile (if any), at the buffer's start.
     auto &bbuf = pack_buf_b();
-    if (!a_direct) {
-        if (abuf.size() < tiles_m * k * MR)
-            abuf.resize(tiles_m * k * MR);
-        for (std::size_t it = 0; it < tiles_m; ++it)
-            pack_a_tile(a, a_trans, it * MR,
-                        std::min(MR, m - it * MR), k,
-                        abuf.data() + it * k * MR);
-    } else if (a_edge != 0) {
-        if (abuf.size() < k * MR)
-            abuf.resize(k * MR);
-        pack_a_tile(a, a_trans, m - a_edge, a_edge, k, abuf.data());
-    }
     if (!b_direct) {
         if (bbuf.size() < tiles_n * k * NR)
             bbuf.resize(tiles_n * k * NR);
@@ -280,6 +204,7 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
         pack_b_tile(b, b_trans, n - b_edge, b_edge, k, bbuf.data());
     }
 
+    const std::size_t lda = a.cols();
     for (std::size_t jt = 0; jt < tiles_n; ++jt) {
         const std::size_t j0 = jt * NR;
         const std::size_t nrem = std::min(NR, n - j0);
@@ -292,21 +217,11 @@ gemm_packed(const Matrix &a, bool a_trans, const Matrix &b, bool b_trans,
             bp = b_direct ? bbuf.data() : bbuf.data() + jt * k * NR;
             bstride = NR;
         }
-        for (std::size_t it = 0; it < tiles_m; ++it) {
-            const std::size_t i0 = it * MR;
-            const std::size_t mrem = std::min(MR, m - i0);
-            const float *ap;
-            std::size_t astride;
-            if (a_direct && mrem == MR) {
-                ap = a.data() + i0;
-                astride = a.cols();
-            } else {
-                ap = a_direct ? abuf.data()
-                              : abuf.data() + it * k * MR;
-                astride = MR;
-            }
-            micro_kernel(k, ap, astride, bp, bstride,
-                         c.row(i0) + j0, c.cols(), mrem, nrem);
+        for (std::size_t i0 = 0; i0 < m; i0 += MR) {
+            const float *ap = ATrans ? a.data() + i0 : a.row(i0);
+            micro_kernel<ATrans>(k, ap, lda, bp, bstride,
+                                 c.row(i0) + j0, c.cols(),
+                                 std::min(MR, m - i0), nrem);
         }
     }
 }
@@ -318,7 +233,7 @@ gemm_nn(const Matrix &a, const Matrix &b, Matrix &c)
 {
     assert(a.cols() == b.rows());
     assert(c.rows() == a.rows() && c.cols() == b.cols());
-    gemm_packed(a, false, b, false, c);
+    gemm_tiled<false>(a, b, false, c);
 }
 
 void
@@ -326,7 +241,7 @@ gemm_tn(const Matrix &a, const Matrix &b, Matrix &c)
 {
     assert(a.rows() == b.rows());
     assert(c.rows() == a.cols() && c.cols() == b.cols());
-    gemm_packed(a, true, b, false, c);
+    gemm_tiled<true>(a, b, false, c);
 }
 
 void
@@ -334,7 +249,7 @@ gemm_nt(const Matrix &a, const Matrix &b, Matrix &c)
 {
     assert(a.cols() == b.cols());
     assert(c.rows() == a.rows() && c.cols() == b.rows());
-    gemm_packed(a, false, b, true, c);
+    gemm_tiled<false>(a, b, true, c);
 }
 
 // ---------------------------------------------------------------------
@@ -512,13 +427,26 @@ hadamard_add(const Matrix &a, const Matrix &b, Matrix &y)
 }
 
 double
+sum_squares(const float *x, std::size_t n)
+{
+    // Independent double lanes: no loop-carried add chain, and the
+    // compiler may vectorise the lanes without reassociating.
+    constexpr std::size_t L = 8;
+    double lane[L] = {};
+    std::size_t i = 0;
+    for (; i + L <= n; i += L)
+        for (std::size_t l = 0; l < L; ++l)
+            lane[l] += static_cast<double>(x[i + l]) * x[i + l];
+    for (std::size_t l = 0; i < n; ++i, ++l)
+        lane[l] += static_cast<double>(x[i]) * x[i];
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+           + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+double
 sum_squares(const Matrix &m)
 {
-    double acc = 0.0;
-    const float *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        acc += static_cast<double>(d[i]) * d[i];
-    return acc;
+    return sum_squares(m.data(), m.size());
 }
 
 bool

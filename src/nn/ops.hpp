@@ -130,6 +130,9 @@ void hadamard(const Matrix &a, const Matrix &b, Matrix &y);
 /** y += a ⊙ b. */
 void hadamard_add(const Matrix &a, const Matrix &b, Matrix &y);
 
+/** Sum of squares of x[0:n], accumulated in double. */
+double sum_squares(const float *x, std::size_t n);
+
 /** Sum of squares of all elements. */
 double sum_squares(const Matrix &m);
 

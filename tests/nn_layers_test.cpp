@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
+#include "nn/activation.hpp"
 #include "nn/adam.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -209,6 +211,94 @@ TEST(Adam, SparseEmbeddingUpdatesOnlyTouchedRows)
     EXPECT_TRUE(e.touched().empty());
 }
 
+TEST(Adam, StepMatchesScalarReferenceBits)
+{
+    // Adam::step against a plain scalar transcription of the update:
+    // a global norm summed serially in double over every gradient
+    // element (embedding tables whole), the clip applied to the
+    // gradients first, then per-element m, v and w updates. Shapes
+    // are odd so vector bodies and tails are both exercised.
+    Rng rng(17);
+    Param dense(5, 37);
+    uniform_init(dense.value, 0.5f, rng);
+    Embedding emb(50, 19, rng);
+    const AdamConfig cfg{1e-2, 0.9, 0.999, 1e-8, 0.5};
+    Adam opt(cfg);
+    opt.add_param(&dense);
+    opt.add_embedding(&emb);
+
+    Param *params[2] = {&dense, &emb.param()};
+    Matrix w[2] = {dense.value, emb.param().value};
+    Matrix m[2] = {Matrix(5, 37), Matrix(50, 19)};
+    Matrix v[2] = {Matrix(5, 37), Matrix(50, 19)};
+    const auto b1 = static_cast<float>(cfg.beta1);
+    const auto b2 = static_cast<float>(cfg.beta2);
+    const auto eps = static_cast<float>(cfg.eps);
+
+    for (std::uint64_t t = 1; t <= 6; ++t) {
+        uniform_init(dense.grad, 2.0f, rng);
+        const std::vector<std::int32_t> ids = {3, 17, 3, 42, 0, 49};
+        Matrix go(ids.size(), 19);
+        uniform_init(go, 2.0f, rng);
+        emb.backward(ids, go);
+
+        Matrix g[2] = {dense.grad, emb.param().grad};
+        double total = 0.0;
+        for (const Matrix &gi : g)
+            for (std::size_t i = 0; i < gi.size(); ++i)
+                total += static_cast<double>(gi.data()[i]) * gi.data()[i];
+        const double norm = std::sqrt(total);
+        ASSERT_GT(norm, cfg.clip_norm);  // the clip is active
+        const auto scale = static_cast<float>(cfg.clip_norm / norm);
+        const double bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
+        const double bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+        const auto lr_t = static_cast<float>(cfg.lr * std::sqrt(bc2) / bc1);
+        for (int p = 0; p < 2; ++p) {
+            for (std::size_t i = 0; i < g[p].size(); ++i) {
+                if (p == 1 && !emb.touched().count(
+                                  static_cast<std::int32_t>(i / 19)))
+                    continue;  // lazy update: untouched rows stay
+                float &gi = g[p].data()[i];
+                float &mi = m[p].data()[i];
+                float &vi = v[p].data()[i];
+                gi *= scale;
+                mi = b1 * mi + (1.0f - b1) * gi;
+                vi = b2 * vi + (1.0f - b2) * gi * gi;
+                w[p].data()[i] -= lr_t * mi / (std::sqrt(vi) + eps);
+            }
+        }
+
+        opt.step();
+        EXPECT_TRUE(emb.touched().empty());
+        for (int p = 0; p < 2; ++p) {
+            ASSERT_EQ(std::memcmp(params[p]->value.data(), w[p].data(),
+                                  w[p].size() * sizeof(float)),
+                      0)
+                << "param " << p << " step " << t;
+            for (std::size_t i = 0; i < w[p].size(); ++i)
+                ASSERT_EQ(params[p]->grad.data()[i], 0.0f);
+        }
+    }
+    EXPECT_EQ(opt.steps(), 6u);
+
+    // Non-finite gradient: the step is skipped whole.
+    uniform_init(dense.grad, 2.0f, rng);
+    dense.grad.at(4, 36) = std::nanf("");
+    Matrix go(1, 19, 1.0f);
+    emb.backward({7}, go);
+    opt.step();
+    EXPECT_EQ(opt.steps(), 6u);
+    EXPECT_EQ(opt.skipped_steps(), 1u);
+    EXPECT_TRUE(emb.touched().empty());
+    for (int p = 0; p < 2; ++p) {
+        EXPECT_EQ(std::memcmp(params[p]->value.data(), w[p].data(),
+                              w[p].size() * sizeof(float)),
+                  0);
+        for (std::size_t i = 0; i < w[p].size(); ++i)
+            ASSERT_EQ(params[p]->grad.data()[i], 0.0f);
+    }
+}
+
 TEST(Adam, LrDecay)
 {
     Adam opt(AdamConfig{1e-3, 0.9, 0.999, 1e-8, 0.0});
@@ -344,6 +434,74 @@ TEST(Lstm, CacheReuseAcrossShrinkingSequences)
         ASSERT_EQ(reused.wx().grad.data()[i], fresh.wx().grad.data()[i]);
     for (std::size_t i = 0; i < reused.wh().grad.size(); ++i)
         ASSERT_EQ(reused.wh().grad.data()[i], fresh.wh().grad.data()[i]);
+}
+
+TEST(Lstm, BackwardMatchesPerStepGemmNtReference)
+{
+    // Backprop through time transcribed step by step, with the input
+    // gradients as gemm_nt(dz, W): Lstm::backward, which transposes
+    // each weight once and runs gemm_nn, must give the same bits.
+    // Odd shapes give ragged GEMM tiles on every dimension.
+    const std::size_t B = 9;
+    const std::size_t in = 13;
+    const std::size_t H = 7;
+    const std::size_t T = 5;
+    Rng rng(31);
+    Lstm lstm(in, H, rng);
+    std::vector<Matrix> xs(T, Matrix(B, in));
+    for (auto &x : xs)
+        uniform_init(x, 1.0f, rng);
+    Matrix dh_last(B, H);
+    uniform_init(dh_last, 1.0f, rng);
+
+    Matrix h_last;
+    lstm.forward(xs, h_last);
+    std::vector<Matrix> dxs;
+    lstm.backward(dh_last, dxs);
+
+    const Matrix &wx = lstm.wx().value;
+    const Matrix &wh = lstm.wh().value;
+    std::vector<Matrix> gates(T, Matrix(B, 4 * H));
+    std::vector<Matrix> cs(T, Matrix(B, H));
+    std::vector<Matrix> hs(T, Matrix(B, H));
+    for (std::size_t t = 0; t < T; ++t) {
+        gemm_nn(xs[t], wx, gates[t]);
+        if (t > 0)
+            gemm_nn(hs[t - 1], wh, gates[t]);
+        lstm_gates_forward(gates[t], lstm.bias().value,
+                           t > 0 ? &cs[t - 1] : nullptr, cs[t], hs[t]);
+    }
+    Matrix wx_grad(in, 4 * H);
+    Matrix wh_grad(H, 4 * H);
+    Matrix b_grad(1, 4 * H);
+    std::vector<Matrix> ref_dxs(T, Matrix(B, in));
+    Matrix dh = dh_last;
+    Matrix dc(B, H);
+    Matrix dz(B, 4 * H);
+    for (std::size_t t = T; t-- > 0;) {
+        lstm_gates_backward(gates[t], cs[t], t > 0 ? &cs[t - 1] : nullptr,
+                            dh, dc, dz);
+        gemm_tn(xs[t], dz, wx_grad);
+        bias_backward(dz, b_grad);
+        gemm_nt(dz, wx, ref_dxs[t]);
+        if (t > 0) {
+            gemm_tn(hs[t - 1], dz, wh_grad);
+            dh.resize(B, H);
+            gemm_nt(dz, wh, dh);
+        }
+    }
+
+    const auto same = [](const Matrix &a, const Matrix &b) {
+        return a.rows() == b.rows() && a.cols() == b.cols() &&
+               std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(float)) == 0;
+    };
+    EXPECT_TRUE(same(lstm.wx().grad, wx_grad));
+    EXPECT_TRUE(same(lstm.wh().grad, wh_grad));
+    EXPECT_TRUE(same(lstm.bias().grad, b_grad));
+    ASSERT_EQ(dxs.size(), T);
+    for (std::size_t t = 0; t < T; ++t)
+        EXPECT_TRUE(same(dxs[t], ref_dxs[t])) << "step " << t;
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "nn/matrix.hpp"
 #include "nn/ops.hpp"
@@ -192,6 +194,87 @@ TEST(Ops, GemmKernelsMatchReferenceOnOddShapes)
                 gemm_nt_ref(a, bt, ref);
                 ASSERT_NO_FATAL_FAILURE(expect_rel_close(c, ref))
                     << "nt m=" << m << " n=" << n << " k=" << k;
+            }
+}
+
+bool
+same_bits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** Rows [r0, r1) of m. */
+Matrix
+row_slice(const Matrix &m, std::size_t r0, std::size_t r1)
+{
+    Matrix s(r1 - r0, m.cols());
+    std::memcpy(s.data(), m.row(r0), s.size() * sizeof(float));
+    return s;
+}
+
+TEST(Ops, GemmVariantsAgreeBitForBit)
+{
+    // nn, tn and nt compute the same products in the same k order, so
+    // op(A) op(B) must not depend on which operand arrives transposed.
+    const std::size_t dims[] = {1, 3, 17, 31, 33, 64};
+    Rng rng(43);
+    for (const std::size_t m : dims)
+        for (const std::size_t n : dims)
+            for (const std::size_t k : dims) {
+                const auto a = random_matrix(m, k, rng);
+                const auto b = random_matrix(k, n, rng);
+                const auto c0 = random_matrix(m, n, rng);
+                Matrix nn = c0;
+                Matrix tn = c0;
+                Matrix nt = c0;
+                gemm_nn(a, b, nn);
+                gemm_tn(transpose(a), b, tn);
+                gemm_nt(a, transpose(b), nt);
+                ASSERT_TRUE(same_bits(nn, tn))
+                    << "m=" << m << " n=" << n << " k=" << k;
+                ASSERT_TRUE(same_bits(nn, nt))
+                    << "m=" << m << " n=" << n << " k=" << k;
+            }
+}
+
+TEST(Ops, GemmRowsIndependentOfRowSplit)
+{
+    // Batch invariance: a row of C must not depend on which other rows
+    // share its call, including the rows a ragged edge tile (m not a
+    // multiple of the 8-row register tile) computes and discards.
+    // Under ASan this also checks those discarded rows stay in bounds.
+    const std::size_t dims[] = {1, 3, 17, 31, 33, 64};
+    Rng rng(44);
+    for (std::size_t m = 1; m <= 9; ++m)
+        for (const std::size_t n : dims)
+            for (const std::size_t k : dims) {
+                const auto a = random_matrix(m, k, rng);
+                const auto b = random_matrix(k, n, rng);
+                const auto bt = transpose(b);
+                const auto c0 = random_matrix(m, n, rng);
+                Matrix whole[3] = {c0, c0, c0};
+                gemm_nn(a, b, whole[0]);
+                gemm_tn(transpose(a), b, whole[1]);
+                gemm_nt(a, bt, whole[2]);
+                for (std::size_t split = 1; split < m; ++split)
+                    for (const auto &[r0, r1] :
+                         {std::pair{std::size_t{0}, split},
+                          std::pair{split, m}}) {
+                        const auto part = row_slice(a, r0, r1);
+                        Matrix c[3];
+                        for (auto &ci : c)
+                            ci = row_slice(c0, r0, r1);
+                        gemm_nn(part, b, c[0]);
+                        gemm_tn(transpose(part), b, c[1]);
+                        gemm_nt(part, bt, c[2]);
+                        for (int v = 0; v < 3; ++v)
+                            ASSERT_TRUE(same_bits(
+                                c[v], row_slice(whole[v], r0, r1)))
+                                << "variant " << v << " m=" << m
+                                << " rows [" << r0 << "," << r1
+                                << ") n=" << n << " k=" << k;
+                    }
             }
 }
 
