@@ -17,6 +17,7 @@
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/ops.hpp"
+#include "nn/qlayers.hpp"
 #include "nn/qmatrix.hpp"
 #include "nn/qops.hpp"
 #include "util/random.hpp"
@@ -240,6 +241,61 @@ BENCHMARK(BM_GemmNnShaped<nn::gemm_nn>)
     ->Name("BM_GemmNnHeadFp32")
     ->Apply(QgemmVoyagerShapes);
 
+// The int8 engine's dynamic activation quantization at its serving
+// shapes (rows, cols): one 8-row batch of LSTM input (72 wide) or of
+// hidden state (64), and the 8 steps of that batch stacked (64 x 72),
+// as the engine quantizes its input once per batch.
+void
+BM_QuantizeActivations(benchmark::State &state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    Rng rng(15);
+    Matrix x(m, k);
+    nn::uniform_init(x, 1.0f, rng);
+    nn::QActivations qa;
+    for (auto _ : state) {
+        nn::quantize_activations(x, qa);
+        benchmark::DoNotOptimize(qa.q.data());
+    }
+    state.SetItemsProcessed(state.iterations() * m * k);
+}
+BENCHMARK(BM_QuantizeActivations)
+    ->Args({8, 72})
+    ->Args({8, 64})
+    ->Args({64, 72});
+
+// Both int8 LSTMs of one serving batch (B = 8, T = 8, in 72, H 64)
+// reading one shared quantized input, as QuantizedVoyagerModel runs
+// them. Items are batch rows.
+void
+BM_QuantizedLstmForward(benchmark::State &state)
+{
+    constexpr std::size_t B = 8;
+    constexpr std::size_t T = 8;
+    constexpr std::size_t in = 72;
+    constexpr std::size_t H = 64;
+    Rng rng(16);
+    const nn::Lstm page(in, H, rng);
+    const nn::Lstm offset(in, H, rng);
+    nn::QuantizedLstm qpage(page);
+    nn::QuantizedLstm qoffset(offset);
+    Matrix x(T * B, in);
+    nn::uniform_init(x, 0.5f, rng);
+    nn::QuantizedLstmInput qin;
+    Matrix h_page;
+    Matrix h_offset;
+    for (auto _ : state) {
+        qin.quantize(x, T);
+        qpage.forward(qin, h_page);
+        qoffset.forward(qin, h_offset);
+        benchmark::DoNotOptimize(h_page.data());
+        benchmark::DoNotOptimize(h_offset.data());
+    }
+    state.SetItemsProcessed(state.iterations() * B);
+}
+BENCHMARK(BM_QuantizedLstmForward);
+
 void
 BM_LstmForward(benchmark::State &state)
 {
@@ -448,15 +504,17 @@ extract_flag(int &argc, char **argv, const std::string &flag)
 
 /**
  * Map `--op=<class>` to a benchmark filter regex so CI smoke runs can
- * select one kernel family (`--op=qgemm` runs the int8 kernels plus
- * their fp32 comparison rows). Unknown values pass through as a raw
+ * select one kernel family (`--op=qgemm` runs the int8 kernels, the
+ * activation quantization and the int8 LSTM pair plus the fp32
+ * comparison rows). Unknown values pass through as a raw
  * regex.
  */
 std::string
 op_filter(const std::string &op)
 {
     if (op == "qgemm")
-        return "BM_Qgemm|BM_GemmNnHeadFp32";
+        return "BM_Qgemm|BM_GemmNnHeadFp32|BM_QuantizeActivations|"
+               "BM_QuantizedLstmForward";
     if (op == "gemm")
         return "BM_Gemm";
     if (op == "lstm")

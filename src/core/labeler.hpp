@@ -38,6 +38,12 @@ enum class LabelScheme : std::uint8_t
 
 inline constexpr std::size_t kNumLabelSchemes = 5;
 
+/** Every scheme, in enum order. */
+inline constexpr LabelScheme kAllLabelSchemes[kNumLabelSchemes] = {
+    LabelScheme::Global, LabelScheme::Pc, LabelScheme::BasicBlock,
+    LabelScheme::Spatial, LabelScheme::CoOccurrence,
+};
+
 /** Human-readable scheme name. */
 std::string label_scheme_name(LabelScheme s);
 

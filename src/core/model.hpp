@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,11 +62,11 @@ struct VoyagerConfig
     /** Positive-class weight in the BCE loss (counteracts the one-
      *  positive-vs-vocabulary-of-negatives imbalance). */
     float bce_pos_weight = 20.0f;
-    /** Labeling schemes supplying training labels (§4.4). */
-    std::vector<LabelScheme> schemes = {
-        LabelScheme::Global, LabelScheme::Pc, LabelScheme::BasicBlock,
-        LabelScheme::Spatial, LabelScheme::CoOccurrence,
-    };
+    /** Labeling schemes supplying training labels (§4.4); all by
+     *  default. A braced list here trips GCC 12's
+     *  -Wmaybe-uninitialized in every copy of the config. */
+    std::vector<LabelScheme> schemes{std::begin(kAllLabelSchemes),
+                                     std::end(kAllLabelSchemes)};
     std::uint64_t seed = 42;
 
     /** Offset-embedding width (the paper's 25600 = 256 x 100). */

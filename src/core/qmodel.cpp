@@ -35,12 +35,12 @@ QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
     const std::size_t d_page = cfg_.page_embed_dim;
     const std::size_t in_dim = d_pc + 2 * d_page;
 
-    xs_.assign(T, Matrix());
-
     // Same input assembly as VoyagerModel::forward (minus dropout,
     // which is identity at inference): per step, gather + dequantize
     // the embeddings in int8, mix the page-aware offset embedding in
     // fp32 attention, and concatenate [pc | page | attention] rows.
+    // The steps are stacked, step t in rows t*B .. t*B + B - 1, and
+    // quantized once for both LSTMs.
     std::vector<std::int32_t> pc_ids(B);
     std::vector<std::int32_t> page_ids(B);
     std::vector<std::int32_t> off_ids(B);
@@ -48,6 +48,7 @@ QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
     Matrix page_e;
     Matrix off_e;
     Matrix off_aware;
+    x_.resize_uninit(T * B, in_dim);  // every row is written below
     for (std::size_t t = 0; t < T; ++t) {
         for (std::size_t b = 0; b < B; ++b) {
             pc_ids[b] = batch.pc[b * T + t];
@@ -57,13 +58,10 @@ QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
         page_emb_.forward(page_ids, page_e);
         offset_emb_.forward(off_ids, off_e);
         attn_[t].forward(page_e, off_e, off_aware);
-
-        Matrix &x = xs_[t];
-        x.resize(B, in_dim);
         if (cfg_.use_pc_feature)
             pc_emb_.forward(pc_ids, pc_e);
         for (std::size_t b = 0; b < B; ++b) {
-            float *row = x.row(b);
+            float *row = x_.row(t * B + b);
             std::size_t o = 0;
             if (cfg_.use_pc_feature) {
                 std::memcpy(row, pc_e.row(b), d_pc * sizeof(float));
@@ -76,8 +74,9 @@ QuantizedVoyagerModel::forward(const VoyagerBatch &batch)
         }
     }
 
-    page_lstm_.forward(xs_, h_page_);
-    offset_lstm_.forward(xs_, h_offset_);
+    lstm_in_.quantize(x_, T);
+    page_lstm_.forward(lstm_in_, h_page_);
+    offset_lstm_.forward(lstm_in_, h_offset_);
     page_head_.forward(h_page_, page_logits_);
     offset_head_.forward(h_offset_, offset_logits_);
 }

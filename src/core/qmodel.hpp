@@ -38,6 +38,10 @@ class QuantizedVoyagerModel
 
     const VoyagerConfig &config() const { return cfg_; }
 
+    /** Head logits of the last predict(): (batch, vocab) each. */
+    const nn::Matrix &page_logits() const { return page_logits_; }
+    const nn::Matrix &offset_logits() const { return offset_logits_; }
+
     /** Total int8 payload bytes (values + scales + fp32 biases). */
     std::uint64_t int8_bytes() const;
 
@@ -62,7 +66,8 @@ class QuantizedVoyagerModel
     nn::QuantizedLinear offset_head_;
 
     // Forward caches.
-    std::vector<nn::Matrix> xs_;
+    nn::Matrix x_;  ///< (T*B, in): the stacked LSTM input
+    nn::QuantizedLstmInput lstm_in_;
     nn::Matrix h_page_;
     nn::Matrix h_offset_;
     nn::Matrix page_logits_;

@@ -103,9 +103,6 @@ void gemm_nt_ref(const Matrix &a, const Matrix &b, Matrix &c);
 /** y += x (same shape). */
 void add_inplace(Matrix &y, const Matrix &x);
 
-/** y += alpha * x. */
-void axpy(Matrix &y, float alpha, const Matrix &x);
-
 /** Scale in place. */
 void scale_inplace(Matrix &y, float alpha);
 
@@ -121,15 +118,6 @@ void softmax_rows(Matrix &m);
 /** Elementwise logistic sigmoid in place (nn/activation kernel). */
 void sigmoid_inplace(Matrix &m);
 
-/** Elementwise tanh in place (nn/activation kernel). */
-void tanh_inplace(Matrix &m);
-
-/** Elementwise product: y = a ⊙ b. */
-void hadamard(const Matrix &a, const Matrix &b, Matrix &y);
-
-/** y += a ⊙ b. */
-void hadamard_add(const Matrix &a, const Matrix &b, Matrix &y);
-
 /** Sum of squares of x[0:n], accumulated in double. */
 double sum_squares(const float *x, std::size_t n);
 
@@ -138,10 +126,5 @@ double sum_squares(const Matrix &m);
 
 /** True when every element is finite (no NaN/Inf). */
 bool is_finite(const Matrix &m);
-
-/** Global gradient-norm clipping over a set of gradients. A
- *  non-finite global norm leaves the gradients untouched (the caller
- *  is expected to skip the step; see Adam::step). */
-void clip_gradients(const std::vector<Matrix *> &grads, float max_norm);
 
 }  // namespace voyager::nn

@@ -1,6 +1,8 @@
 #include "nn/qlayers.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "nn/activation.hpp"
@@ -8,33 +10,6 @@
 #include "nn/qops.hpp"
 
 namespace voyager::nn {
-
-namespace {
-
-/**
- * Error-feedback residual: r = x - dequant(qx), the part of `x` the
- * u8 grid could not represent. Re-quantizing `r` on its own per-row
- * grid (whose scale is ~1/255 of the original row's) and running a
- * second qgemm into the same accumulator recovers ~16 effective bits
- * of activation precision from two int8 passes.
- */
-void
-quant_residual(const Matrix &x, const QActivations &qx, Matrix &r)
-{
-    r.resize_uninit(x.rows(), x.cols());
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-        const float s = qx.scale(i);
-        const auto zp = static_cast<float>(qx.zero_point(i));
-        const std::uint8_t *q = qx.row(i);
-        const float *src = x.row(i);
-        float *dst = r.row(i);
-        for (std::size_t j = 0; j < x.cols(); ++j)
-            dst[j] =
-                src[j] - (static_cast<float>(q[j]) - zp) * s;
-    }
-}
-
-}  // namespace
 
 QuantizedEmbedding::QuantizedEmbedding(const Embedding &src)
     : table_(QMatrix::quantize(src.param().value, /*transpose=*/false))
@@ -86,32 +61,55 @@ QuantizedLstm::QuantizedLstm(const Lstm &src)
 }
 
 void
-QuantizedLstm::forward(const std::vector<Matrix> &xs, Matrix &h_last)
+QuantizedLstmInput::quantize(const Matrix &xs, std::size_t n_steps)
 {
-    assert(!xs.empty());
-    const std::size_t batch = xs[0].rows();
+    assert(n_steps > 0 && xs.rows() % n_steps == 0);
+    steps = n_steps;
+    quantize_activations(xs, x);
+    // r = xs - dequant(x), the part the u8 grid could not represent.
+    // Built with -ffp-contract=off: the one rounding is the explicit
+    // fma, in every build.
+    r_.resize_uninit(xs.rows(), xs.cols());
+    for (std::size_t i = 0; i < xs.rows(); ++i) {
+        const float s = x.scale(i);
+        const auto zp = static_cast<float>(x.zero_point(i));
+        const std::uint8_t *q = x.row(i);
+        const float *src = xs.row(i);
+        float *dst = r_.row(i);
+        for (std::size_t j = 0; j < xs.cols(); ++j)
+            dst[j] = std::fma(-(static_cast<float>(q[j]) - zp), s,
+                              src[j]);
+    }
+    quantize_activations(r_, residual);
+}
+
+void
+QuantizedLstm::forward(const QuantizedLstmInput &in, Matrix &h_last)
+{
+    const std::size_t T = in.steps;
+    assert(T > 0 && in.x.cols == in_dim());
+    const std::size_t batch = in.x.rows / T;
     const std::size_t h = hidden();
-    const std::size_t T = xs.size();
+    const std::size_t zw = 4 * h;
+
+    // The x * Wx GEMM runs twice int8 over all T*B rows: the quantized
+    // input, then its error-feedback residual. The LSTM's x rows
+    // concatenate embeddings with heterogeneous magnitudes, so one u8
+    // grid per row is too coarse on its own — the residual pass keeps
+    // top-1 predictions aligned with fp32 while staying on the int8
+    // kernels. h rows are homogeneous bounded tanh outputs; a single
+    // pass suffices there (verified by the agreement test, which is
+    // insensitive to Wh quantization error).
+    zx_.resize(T * batch, zw);  // zero-fills: the qgemms accumulate
+    qgemm_nt(in.x, wxq_, zx_);
+    qgemm_nt(in.residual, wxq_, zx_);
 
     h_prev_.resize(batch, h);
     c_prev_.resize(batch, h);
     for (std::size_t t = 0; t < T; ++t) {
-        assert(xs[t].rows() == batch && xs[t].cols() == in_dim());
-        z_.resize(batch, 4 * h);  // zero-fills: the qgemms accumulate
-        // The x * Wx GEMM runs twice int8: the quantized input, then
-        // its error-feedback residual on a ~255x finer grid. The
-        // LSTM's x rows concatenate embeddings with heterogeneous
-        // magnitudes, so one u8 grid per row is too coarse on its
-        // own — the residual pass keeps top-1 predictions aligned
-        // with fp32 while staying on the int8 kernels. h rows are
-        // homogeneous bounded tanh outputs; a single pass suffices
-        // there (verified by the agreement test, which is
-        // insensitive to Wh quantization error).
-        quantize_activations(xs[t], qx_);
-        qgemm_nt(qx_, wxq_, z_);
-        quant_residual(xs[t], qx_, r_);
-        quantize_activations(r_, qr_);
-        qgemm_nt(qr_, wxq_, z_);
+        z_.resize_uninit(batch, zw);
+        std::memcpy(z_.data(), zx_.row(t * batch),
+                    batch * zw * sizeof(float));
         if (t > 0) {  // h_{-1} = 0 contributes nothing at t = 0
             quantize_activations(h_prev_, qh_);
             qgemm_nt(qh_, whq_, z_);

@@ -66,15 +66,38 @@ class QuantizedLinear
 };
 
 /**
- * Int8 LSTM: both gate GEMMs (x * Wx and h * Wh) run int8 with the
- * inputs re-quantized dynamically each step. The x * Wx GEMM adds an
- * error-feedback residual pass — the fp32 leftover of the first
- * quantization is itself quantized on a ~255x finer per-row grid and
- * accumulated by a second qgemm, giving ~16 effective activation
- * bits from pure int8 kernels on the concatenated (heterogeneous)
- * input rows. The fused gate pass (bias + sigmoid/tanh + cell
- * update) is the fp32 tail and charges the same `nn.lstm_gate` op
- * class as the trainable LSTM.
+ * An LSTM input sequence quantized once for every QuantizedLstm that
+ * reads it. The T steps are stacked as one (T*B, in) matrix, step t
+ * in rows t*B .. t*B + B - 1. Besides the u8 quantization it holds an
+ * error-feedback residual: the fp32 leftover of the first
+ * quantization, itself quantized on a ~255x finer per-row grid. A
+ * second qgemm of the residual into the same accumulator gives ~16
+ * effective activation bits from pure int8 kernels on the
+ * concatenated (heterogeneous) input rows. Quantization is per row,
+ * so stacking the steps changes no bit.
+ */
+struct QuantizedLstmInput
+{
+    QActivations x;         ///< the stacked steps on a u8 grid
+    QActivations residual;  ///< x - dequant(x), on its own u8 grid
+    std::size_t steps = 0;  ///< T
+
+    /** Quantize `xs`: n_steps stacked steps, row t*B + b. */
+    void quantize(const Matrix &xs, std::size_t n_steps);
+
+  private:
+    Matrix r_;  ///< fp32 residual
+};
+
+/**
+ * Int8 LSTM: both gate GEMMs run int8. x * Wx runs once for all T
+ * steps, over the stacked input and its residual (QuantizedLstmInput);
+ * the recurrence then re-quantizes h each step for h * Wh,
+ * accumulating into that step's rows. Each gate pre-activation still
+ * sees the x, residual and h terms added in that order, as a per-step
+ * loop would add them. The fused gate pass (bias + sigmoid/tanh +
+ * cell update) is the fp32 tail and charges the same `nn.lstm_gate`
+ * op class as the trainable LSTM.
  */
 class QuantizedLstm
 {
@@ -82,7 +105,7 @@ class QuantizedLstm
     explicit QuantizedLstm(const Lstm &src);
 
     /** Run the sequence from zero state; h_last = h_T (batch, H). */
-    void forward(const std::vector<Matrix> &xs, Matrix &h_last);
+    void forward(const QuantizedLstmInput &in, Matrix &h_last);
 
     std::size_t in_dim() const { return wxq_.cols(); }
     std::size_t hidden() const { return whq_.cols(); }
@@ -100,11 +123,9 @@ class QuantizedLstm
     QMatrix wxq_;  ///< (4H, in)
     QMatrix whq_;  ///< (4H, H)
     Matrix bias_;  ///< (1, 4H) fp32
-    QActivations qx_;
     QActivations qh_;
-    QActivations qr_;  ///< quantized error-feedback residual
-    Matrix r_;       ///< fp32 residual of the last quantization
-    Matrix z_;       ///< (B, 4H) gate pre-activations
+    Matrix zx_;      ///< (T*B, 4H) x-side gate pre-activations
+    Matrix z_;       ///< (B, 4H) one step's gate pre-activations
     Matrix h_prev_;  ///< (B, H)
     Matrix c_prev_;  ///< (B, H)
     Matrix c_cur_;   ///< (B, H)

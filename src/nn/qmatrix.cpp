@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace voyager::nn {
 
@@ -9,6 +10,50 @@ namespace {
 
 constexpr std::size_t QNR = 16;  ///< output channels per VNNI tile
 constexpr std::size_t QKG = 4;   ///< k values per VNNI dot group
+
+/** 16-float vector; aligned(4) legalises unaligned loads. */
+using vfloat
+    = float __attribute__((vector_size(64), aligned(4), may_alias));
+constexpr std::size_t VL = 16;  ///< lanes per vector
+
+/**
+ * lo = min(0, src[0..k)), hi = max(0, src[0..k)), scanned on VL
+ * independent lanes instead of one latency-bound chain. Each lane step
+ * is `v < lo ? v : lo`, which is std::min(lo, v): a NaN never becomes
+ * a bound and -0 never displaces the +0 start, so every lane holds +0
+ * or a negative (a positive for hi) and the lanes meet under the same
+ * std::min/std::max. Such a minimum does not depend on the order the
+ * values are visited in, so the bounds are bitwise the serial scan's.
+ * A ragged tail folds into the first lanes one element at a time.
+ */
+void
+row_range(const float *src, std::size_t k, float &lo, float &hi)
+{
+    vfloat vlo{};
+    vfloat vhi{};
+    std::size_t j = 0;
+    for (; j + VL <= k; j += VL) {
+        const vfloat v = *reinterpret_cast<const vfloat *>(src + j);
+        vlo = v < vlo ? v : vlo;
+        vhi = vhi < v ? v : vhi;
+    }
+    float l[VL];
+    float h[VL];
+    std::memcpy(l, &vlo, sizeof(l));
+    std::memcpy(h, &vhi, sizeof(h));
+    for (std::size_t i = 0; j < k; ++i, ++j) {
+        l[i] = std::min(l[i], src[j]);
+        h[i] = std::max(h[i], src[j]);
+    }
+    for (std::size_t w = VL / 2; w > 0; w /= 2) {
+        for (std::size_t i = 0; i < w; ++i) {
+            l[i] = std::min(l[i], l[i + w]);
+            h[i] = std::max(h[i], h[i + w]);
+        }
+    }
+    lo = l[0];
+    hi = h[0];
+}
 
 }  // namespace
 
@@ -31,12 +76,9 @@ quantize_activations(const Matrix &x, QActivations &out)
         // otherwise inject phantom values; padding with qa that
         // dequantizes to 0 is wrong too unless 0 is on the grid — so
         // put it on the grid).
-        float lo = 0.0f;
-        float hi = 0.0f;
-        for (std::size_t j = 0; j < k; ++j) {
-            lo = std::min(lo, src[j]);
-            hi = std::max(hi, src[j]);
-        }
+        float lo;
+        float hi;
+        row_range(src, k, lo, hi);
         if (hi == lo)  // all-zero row: scale 1, zp 0, q already 0
             continue;
         const float scale = (hi - lo) / 255.0f;
@@ -46,14 +88,15 @@ quantize_activations(const Matrix &x, QActivations &out)
         out.scales[r] = scale;
         out.zero_points[r] = zp;
 
-        // Hot path (called per inference batch/timestep): branch-free
-        // clamp-then-truncate, no libm rounding calls, so the loop
-        // auto-vectorizes. After the clamp to [0, 255] the value is
-        // non-negative, where +0.5-and-truncate is round-to-nearest.
+        // Branch-free clamp-then-truncate, no libm rounding calls, so
+        // the loop vectorises. After the clamp to [0, 255] the value
+        // is non-negative, where +0.5-and-truncate is round-to-
+        // nearest. The grid map is one explicit fma: the file is built
+        // with -ffp-contract=off, so every build rounds it the same.
         const auto zpf = static_cast<float>(zp);
         std::uint8_t *dst = out.q.data() + r * out.stride;
         for (std::size_t j = 0; j < k; ++j) {
-            float f = src[j] * inv + zpf;
+            float f = std::fma(src[j], inv, zpf);
             f = std::min(std::max(f, 0.0f), 255.0f);
             dst[j] = static_cast<std::uint8_t>(f + 0.5f);
         }

@@ -156,9 +156,9 @@ TEST(Loss, ArgmaxAndTopk)
     m.at(0, 2) = 5.0f;
     m.at(1, 0) = 1.0f;
     m.at(1, 3) = 9.0f;
-    const auto am = argmax_rows(m);
-    EXPECT_EQ(am[0], 2);
-    EXPECT_EQ(am[1], 3);
+    // The argmax is the top-1 entry.
+    EXPECT_EQ(topk_row(m, 0, 1), std::vector<std::int32_t>{2});
+    EXPECT_EQ(topk_row(m, 1, 1), std::vector<std::int32_t>{3});
     const auto top = topk_row(m, 1, 2);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0], 3);
@@ -296,6 +296,32 @@ TEST(Adam, StepMatchesScalarReferenceBits)
                   0);
         for (std::size_t i = 0; i < w[p].size(); ++i)
             ASSERT_EQ(params[p]->grad.data()[i], 0.0f);
+    }
+}
+
+TEST(Adam, ClipLeavesGradientsBelowNormAlone)
+{
+    // Below the clip norm a step reads the gradients unscaled: the
+    // weights match a clip-off optimizer's bit for bit. The clipped
+    // case is StepMatchesScalarReferenceBits.
+    Rng rng(19);
+    Param clipped(3, 11);
+    uniform_init(clipped.value, 0.5f, rng);
+    Param unclipped = clipped;
+    Adam on(AdamConfig{1e-2, 0.9, 0.999, 1e-8, 1e3});
+    Adam off(AdamConfig{1e-2, 0.9, 0.999, 1e-8, 0.0});
+    on.add_param(&clipped);
+    off.add_param(&unclipped);
+    for (int step = 0; step < 4; ++step) {
+        uniform_init(clipped.grad, 2.0f, rng);
+        unclipped.grad = clipped.grad;
+        on.step();
+        off.step();
+        ASSERT_EQ(std::memcmp(clipped.value.data(),
+                              unclipped.value.data(),
+                              clipped.value.size() * sizeof(float)),
+                  0)
+            << "step " << step;
     }
 }
 

@@ -8,8 +8,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -94,6 +98,163 @@ TEST(QuantizeActivationsTest, ZeroIsOnTheGridAndErrorBounded)
         EXPECT_EQ(qa.zero_point(r), 0);
     for (std::size_t i = 0; i < qa.q.size(); ++i)
         EXPECT_EQ(qa.q[i], 0);
+}
+
+/**
+ * Scalar transcription of quantize_activations for one row: a serial
+ * std::min/std::max range scan from 0, then the fused-multiply-add
+ * grid map. Returns (scale, zero point) and writes k bytes to `dst`.
+ */
+std::pair<float, std::int32_t>
+quantize_row_ref(const float *src, std::size_t k, std::uint8_t *dst)
+{
+    float lo = 0.0f;
+    float hi = 0.0f;
+    for (std::size_t j = 0; j < k; ++j) {
+        lo = std::min(lo, src[j]);
+        hi = std::max(hi, src[j]);
+    }
+    std::fill(dst, dst + k, 0);
+    if (hi == lo)
+        return {1.0f, 0};
+    const float scale = (hi - lo) / 255.0f;
+    const float inv = 1.0f / scale;
+    const auto zp = std::clamp<std::int32_t>(
+        static_cast<std::int32_t>(std::lround(-lo * inv)), 0, 255);
+    const auto zpf = static_cast<float>(zp);
+    for (std::size_t j = 0; j < k; ++j) {
+        float f = std::fma(src[j], inv, zpf);
+        f = std::min(std::max(f, 0.0f), 255.0f);
+        dst[j] = static_cast<std::uint8_t>(f + 0.5f);
+    }
+    return {scale, zp};
+}
+
+std::uint32_t
+float_bits(float x)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+}
+
+TEST(QuantizeActivations, MatchesScalarReferenceBitForBit)
+{
+    // Every width from 1 to 100 covers each ragged tail of the
+    // 16-lane range scan; the special rows cover its edge cases: the
+    // scan must never pick NaN, and -0 must not move a bound off +0.
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::vector<float>> rows;
+    Rng rng(77);
+    for (std::size_t k = 1; k <= 100; ++k) {
+        std::vector<float> row(k);
+        for (float &v : row)
+            v = (rng.next_float() * 2.0f - 1.0f) * 3.0f;
+        rows.push_back(row);
+        std::vector<float> pos(k);
+        std::vector<float> neg(k);
+        for (std::size_t j = 0; j < k; ++j) {
+            pos[j] = std::fabs(row[j]) + 0.25f;
+            neg[j] = -pos[j];
+        }
+        rows.push_back(pos);
+        rows.push_back(neg);
+        rows.push_back(std::vector<float>(k, 0.0f));
+        rows.push_back(std::vector<float>(k, -0.0f));
+    }
+    // Each special value first, mid-row, as the last element a lane
+    // sees in the vector part and in the ragged tail.
+    for (const float s : {nan, inf, -inf, -0.0f}) {
+        for (const std::size_t k : {16u, 41u, 48u}) {
+            for (const std::size_t at : {std::size_t{0}, 17 % k, k - 16,
+                                         k - 1}) {
+                std::vector<float> row = rows[5 * (k - 1)];
+                row[at] = s;
+                rows.push_back(row);
+            }
+        }
+    }
+    rows.push_back({nan});
+    rows.push_back({-0.0f});
+    rows.push_back({2.5f});
+    rows.push_back({-2.5f});
+    rows.push_back({inf});
+    rows.push_back({-inf});
+    rows.push_back({-0.0f, 0.0f, -0.0f});
+    rows.push_back({nan, 1.0f, -1.0f, nan});
+
+    // Rows of grid midpoints: x * inv + zp lands within an ulp of
+    // n + 0.5, where one rounding (fma) and two (multiply, then add)
+    // can pick different bytes. Such elements must exist, so a build
+    // that rounds the grid map differently cannot pass.
+    std::size_t split = 0;
+    std::vector<std::uint8_t> scratch(100);
+    for (int rep = 1; rep <= 8; ++rep) {
+        std::vector<float> row(100);
+        row[0] = -1.3f * static_cast<float>(rep);
+        row[1] = 2.9f;
+        const auto [scale, zp] =
+            quantize_row_ref(row.data(), 2, scratch.data());
+        for (std::size_t j = 2; j < row.size(); ++j) {
+            const double n = static_cast<double>(rng.next_below(255));
+            row[j] = static_cast<float>((n + 0.5 - zp) *
+                                        static_cast<double>(scale));
+        }
+        const float inv = 1.0f / scale;
+        const auto zpf = static_cast<float>(zp);
+        for (const float v : row) {
+            const auto byte = [](float f) {
+                return static_cast<int>(
+                    std::min(std::max(f, 0.0f), 255.0f) + 0.5f);
+            };
+            volatile float product = v * inv;  // no contraction
+            split += byte(std::fma(v, inv, zpf)) != byte(product + zpf);
+        }
+        rows.push_back(row);
+    }
+    ASSERT_GT(split, 0u);
+
+    QActivations qa;
+    std::vector<std::uint8_t> ref;
+    for (std::size_t n = 0; n < rows.size(); ++n) {
+        const std::vector<float> &row = rows[n];
+        Matrix x(1, row.size());
+        std::copy(row.begin(), row.end(), x.data());
+        quantize_activations(x, qa);
+        ref.assign(row.size(), 0);
+        const auto [scale, zp] =
+            quantize_row_ref(row.data(), row.size(), ref.data());
+        ASSERT_EQ(float_bits(qa.scale(0)), float_bits(scale))
+            << "row " << n << " width " << row.size();
+        ASSERT_EQ(qa.zero_point(0), zp) << "row " << n;
+        // A non-finite element's byte comes from converting NaN to an
+        // integer, which C++ leaves undefined: compare the rest.
+        for (std::size_t j = 0; j < row.size(); ++j) {
+            if (std::isfinite(row[j]) && std::isfinite(scale)) {
+                ASSERT_EQ(qa.row(0)[j], ref[j])
+                    << "row " << n << " element " << j;
+            }
+        }
+        for (std::size_t j = row.size(); j < qa.stride; ++j)
+            ASSERT_EQ(qa.row(0)[j], 0);
+    }
+
+    // Rows are independent: a stacked matrix gives each row the bits
+    // it gets alone.
+    Matrix x(5, 41);
+    for (std::size_t r = 0; r < 5; ++r)
+        std::copy(rows[5 * 40 + r].begin(),
+                  rows[5 * 40 + r].end(), x.row(r));
+    quantize_activations(x, qa);
+    for (std::size_t r = 0; r < 5; ++r) {
+        ref.assign(41, 0);
+        const auto [scale, zp] =
+            quantize_row_ref(x.row(r), 41, ref.data());
+        EXPECT_EQ(float_bits(qa.scale(r)), float_bits(scale));
+        EXPECT_EQ(qa.zero_point(r), zp);
+        EXPECT_EQ(std::memcmp(qa.row(r), ref.data(), 41), 0);
+    }
 }
 
 TEST(QMatrixTest, RoundTripAndIdempotentRequantize)

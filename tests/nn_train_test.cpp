@@ -55,7 +55,7 @@ TEST(Training, LinearClassifierSeparatesClusters)
         sample(cls, xt, 0);
         Matrix y;
         lin.forward(xt, y);
-        correct += argmax_rows(y)[0] == cls;
+        correct += topk_row(y, 0, 1)[0] == cls;
     }
     EXPECT_GT(correct, trials * 95 / 100);
 }
@@ -98,10 +98,9 @@ TEST(Training, LstmLearnsToRecallFirstToken)
         Matrix y;
         head.forward(h, y);
         if (!train) {
-            const auto pred = argmax_rows(y);
             int ok = 0;
             for (std::size_t b = 0; b < B; ++b)
-                ok += pred[b] == labels[b];
+                ok += topk_row(y, b, 1)[0] == labels[b];
             return static_cast<double>(ok) / static_cast<double>(B);
         }
         Matrix dl;

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -51,6 +52,51 @@ small_voyager()
     cfg.learning_rate = 1e-2;
     cfg.lr_decay_ratio = 1.0;
     return cfg;
+}
+
+/** FNV-1a over a matrix's float bits, folded into `h`. */
+std::uint64_t
+fnv1a(const Matrix &m, std::uint64_t h)
+{
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        std::uint32_t u;
+        std::memcpy(&u, m.data() + i, sizeof(u));
+        for (int k = 0; k < 4; ++k) {
+            h ^= (u >> (8 * k)) & 0xFFu;
+            h *= 0x100000001B3ull;
+        }
+    }
+    return h;
+}
+
+/**
+ * Fill with grid values in [-1000, 1000] * step: an integer draw and
+ * one float multiply, nothing a compiler could contract, so every
+ * build sees the same weights and inputs.
+ */
+void
+grid_fill(Matrix &m, float step, Rng &rng)
+{
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        const auto u =
+            static_cast<std::int64_t>(rng.next_below(2001)) - 1000;
+        m.data()[i] = static_cast<float>(u) * step;
+    }
+}
+
+/** Run a QuantizedLstm on per-step inputs, stacked as it takes them. */
+void
+run_qlstm(nn::QuantizedLstm &qlstm, const std::vector<Matrix> &xs,
+          Matrix &h_last)
+{
+    const std::size_t batch = xs[0].rows();
+    Matrix stacked(xs.size() * batch, xs[0].cols());
+    for (std::size_t t = 0; t < xs.size(); ++t)
+        std::memcpy(stacked.row(t * batch), xs[t].data(),
+                    xs[t].size() * sizeof(float));
+    nn::QuantizedLstmInput in;
+    in.quantize(stacked, xs.size());
+    qlstm.forward(in, h_last);
 }
 
 TEST(QuantizedLayers, EmbeddingMatchesFp32PerRowGrid)
@@ -110,11 +156,70 @@ TEST(QuantizedLayers, LstmTracksFp32)
     Matrix h_fp;
     Matrix h_q;
     lstm.forward(xs, h_fp);
-    qlstm.forward(xs, h_q);
+    run_qlstm(qlstm, xs, h_q);
     ASSERT_EQ(h_q.rows(), 6u);
     ASSERT_EQ(h_q.cols(), 24u);
     for (std::size_t i = 0; i < h_fp.size(); ++i)
         EXPECT_NEAR(h_q.data()[i], h_fp.data()[i], 0.05f);
+}
+
+// The int8 engine's output bits. Its arithmetic is integer qgemm,
+// the contraction-free gate pass and explicit fmas, so release and
+// sanitizer builds agree bit for bit, at every batch size (odd ones
+// exercise the qgemm row tails) and whatever the grouping of its
+// qgemm calls. A change that moves one output bit changes the hash.
+TEST(QuantizedLayers, LstmSameBitsOnEveryBuild)
+{
+    Rng rng(61);
+    nn::Lstm lstm(13, 7, rng);
+    grid_fill(lstm.wx().value, 0.0005f, rng);
+    grid_fill(lstm.wh().value, 0.0005f, rng);
+    grid_fill(lstm.bias().value, 0.0005f, rng);
+    nn::QuantizedLstm qlstm(lstm);
+    constexpr std::size_t T = 5;
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const std::size_t batch : {1u, 3u, 8u, 9u}) {
+        std::vector<Matrix> xs(T, Matrix(batch, 13));
+        for (Matrix &x : xs)
+            grid_fill(x, 0.002f, rng);
+        Matrix h_last;
+        run_qlstm(qlstm, xs, h_last);
+        ASSERT_EQ(h_last.rows(), batch);
+        h = fnv1a(h_last, h);
+    }
+    EXPECT_EQ(h, 0x3BD777FC2E3BCAE6ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(QuantizedModel, LogitsSameBitsOnEveryBuild)
+{
+    core::VoyagerConfig cfg = small_voyager();
+    // With one expert the fp32 attention returns the offset embedding
+    // exactly (the softmax of one score is 1), so no fp32 arithmetic
+    // outside the int8 engine reaches the logits.
+    cfg.num_experts = 1;
+    core::VoyagerModel model(cfg, 23, 41, 64);
+    Rng rng(62);
+    for (Matrix *w : model.weights())
+        grid_fill(*w, 0.0005f, rng);
+    QuantizedVoyagerModel qmodel(model);
+
+    core::VoyagerBatch batch;
+    batch.batch = 8;
+    batch.seq = cfg.seq_len;
+    for (std::size_t i = 0; i < batch.batch * batch.seq; ++i) {
+        batch.pc.push_back(static_cast<std::int32_t>(rng.next_below(23)));
+        batch.page.push_back(
+            static_cast<std::int32_t>(rng.next_below(41)));
+        batch.offset.push_back(
+            static_cast<std::int32_t>(rng.next_below(64)));
+    }
+    qmodel.predict(batch, 1);
+    ASSERT_EQ(qmodel.page_logits().rows(), 8u);
+    ASSERT_EQ(qmodel.offset_logits().cols(), 64u);
+    const std::uint64_t h = fnv1a(
+        qmodel.offset_logits(),
+        fnv1a(qmodel.page_logits(), 0xCBF29CE484222325ull));
+    EXPECT_EQ(h, 0x95E4E22239B1E739ull) << std::hex << "hash 0x" << h;
 }
 
 TEST(QuantizedModel, Int8PredictTopOneAgreesWithFp32)

@@ -31,8 +31,11 @@ TEST(StatRegistry, ReferencesStableAcrossInserts)
 {
     StatRegistry reg;
     std::uint64_t &c = reg.counter("m");
-    for (int i = 0; i < 100; ++i)
-        reg.counter("x" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        reg.counter(name);
+    }
     c = 7;  // must still point at the live entry
     EXPECT_EQ(reg.counter("m"), 7u);
 }

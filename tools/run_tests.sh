@@ -2,7 +2,8 @@
 # CI gate, run from the repository root; stops at the first failure.
 # For each build flavour -- release, then asan-ubsan (Debug + ASan +
 # UBSan) -- configure, build, run the tier-1 ctest suite once and drive
-# the bench binaries end to end at tiny sizes. Then run the repository
+# the bench binaries end to end at tiny sizes. The release flavour
+# builds the whole tree with -Werror. Then run the repository
 # benchmark's smoke test. The label families (checkpoint, fault,
 # serve, chaos, transformer, distill) are all inside tier1; select one
 # with `ctest --test-dir build -L <family>`.
@@ -30,21 +31,25 @@ smoke() {
 
 for preset in release asan-ubsan; do
     case $preset in
-    release) build=build tests=tier1 ;;
-    *) build=build-asan tests=asan-tier1 ;;
+    release) build=build tests=tier1 werror=ON ;;
+    *) build=build-asan tests=asan-tier1 werror=OFF ;;
     esac
     echo "== $preset: configure + build =="
-    cmake --preset "$preset"
+    cmake --preset "$preset" -DVOYAGER_WERROR=$werror
     cmake --build --preset "$preset" -j1
     echo "== $preset: ctest -L tier1 =="
     ctest --preset "$tests" --output-on-failure
 
-    # Int8 qgemm microkernel (DESIGN.md section 5.13) outside gtest.
-    # Capture first so the bench's own exit status gates the pass.
+    # Int8 qgemm microkernel, activation quantization and LSTM pair
+    # (DESIGN.md section 5.13) outside gtest. Capture first so the
+    # bench's own exit status gates the pass.
     echo "== $build: bench_micro_nn qgemm smoke =="
     out=$("./$build/bench/bench_micro_nn" --op=qgemm \
         --benchmark_min_time=0.05 2>&1)
-    printf '%s\n' "$out" | grep -q "BM_QgemmNtVoyager"
+    for row in BM_QgemmNtVoyager BM_QuantizeActivations \
+        BM_QuantizedLstmForward; do
+        printf '%s\n' "$out" | grep -q "$row"
+    done
     # LSTM forward/backward on the fused gate passes (section 5.20),
     # captured the same way.
     echo "== $build: bench_micro_nn lstm smoke =="
